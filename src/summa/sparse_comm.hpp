@@ -85,10 +85,11 @@ vmpi::SparseReply make_sparse_reply(const Payload& packed_block,
 /// the row support the request covered).
 CscView assemble_sparse_block(std::span<const Payload> messages);
 
-/// Stage-loop driver shared by summa2d and symbolic3d: posts the stage's
-/// exchange from the received B block's row support and completes it on
-/// either side. One exchange in flight at a time (post s, wait s, post
-/// s+1, ...), matching the pipeline order of the callers.
+/// The need-list A exchange of one SUMMA stage, driven by the stage engine
+/// (summa/stage_engine.hpp): posts the stage's exchange from the received
+/// B block's row support and completes it on either side. One exchange in
+/// flight at a time (post s, wait s, post s+1, ...), matching the engine's
+/// stage order.
 class SparseAExchange {
  public:
   /// `local_a` must outlive *this; `machine` (optional, not owned) enables

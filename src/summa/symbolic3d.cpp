@@ -1,105 +1,62 @@
 #include "summa/symbolic3d.hpp"
 
-#include <cmath>
+#include <algorithm>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
 #include "kernels/symbolic.hpp"
 #include "obs/recorder.hpp"
-#include "sparse/serialize.hpp"
 #include "sparse/stats.hpp"
-#include "summa/sparse_comm.hpp"
+#include "summa/stage_engine.hpp"
 
 namespace casp {
+
+Index eq2_batches(Bytes total_memory, int ranks, Index max_nnz_a,
+                  Index max_nnz_b, Index max_nnz_c) {
+  if (total_memory == 0) return 1;
+  const Bytes r = kBytesPerNonzero;
+  const Bytes share = total_memory / static_cast<Bytes>(ranks);
+  const Bytes input_bytes = r * static_cast<Bytes>(max_nnz_a + max_nnz_b);
+  if (share <= input_bytes) return 0;
+  return std::max<Index>(
+      1, ceil_div(static_cast<Index>(r) * max_nnz_c,
+                  static_cast<Index>(share - input_bytes)));
+}
 
 SymbolicResult symbolic3d(Grid3D& grid, const CscMat& local_a,
                           const CscMat& local_b, Bytes total_memory,
                           const SummaOptions& opts) {
-  vmpi::Comm& row_comm = grid.row_comm();
-  vmpi::Comm& col_comm = grid.col_comm();
   vmpi::Comm& world = grid.world();
-  const int stages = grid.q();
 
   // Whole step is one span, its traffic recorded under "Symbolic": the
   // experiments (Fig. 8) break the symbolic step out of the bcast steps.
-  // All comms here share the world's recorder, so the single top-level
-  // phase covers the row/column broadcasts too.
+  // All comms here share the world's recorder, and the stage engine opens
+  // no phase of its own (StagePhases{}), so this phase covers the stage
+  // exchanges too.
   obs::Recorder& rec = world.recorder();
   obs::PhaseSpan world_span(rec, steps::kSymbolic);
-
-  // Same broadcast schedule as summa2d: handle-forwarding ibcasts, with
-  // stage s+1 prefetched during stage s's symbolic pass when pipelining.
-  struct StageBcasts {
-    vmpi::PendingBcast a;
-    vmpi::PendingBcast b;
-  };
-  auto post_stage = [&](int s) {
-    StageBcasts pending;
-    pending.a = row_comm.ibcast_payload(
-        s, row_comm.rank() == s ? pack_csc_payload(local_a) : Payload{});
-    pending.b = col_comm.ibcast_payload(
-        s, col_comm.rank() == s ? pack_csc_payload(local_b) : Payload{});
-    return pending;
-  };
 
   Index my_unmerged = 0;
   Index my_flops = 0;
   std::vector<Index> my_col_nnz;
   // Per-stage column counts accumulate into the whole-multiplication
   // per-column totals; their sum is exactly the old symbolic_nnz term.
-  auto tally_stage = [&](const CscConstRef& a_view,
-                         const CscConstRef& b_view) {
-    const std::vector<Index> stage_cols = symbolic_column_nnz(a_view, b_view);
-    if (my_col_nnz.empty()) my_col_nnz.assign(stage_cols.size(), 0);
-    CASP_CHECK_MSG(my_col_nnz.size() == stage_cols.size(),
-                   "symbolic3d: stage B widths disagree within a block "
-                   "column");
-    for (std::size_t j = 0; j < stage_cols.size(); ++j) {
-      my_col_nnz[j] += stage_cols[j];
-      my_unmerged += stage_cols[j];
-    }
-    my_flops += multiply_flops(a_view, b_view);
-  };
-
-  if (opts.sparse_comm) {
-    // Same need-list A exchange as the numeric loop (summa2d_sparse): B
-    // keeps its ibcast schedule, each stage's A request is derived from
-    // the row support of that stage's B block.
-    SparseAExchange a_exchange(row_comm, local_a);
-    auto post_b = [&](int s) {
-      return col_comm.ibcast_payload(
-          s, col_comm.rank() == s ? pack_csc_payload(local_b) : Payload{});
-    };
-    auto prepare_stage = [&](int s, vmpi::PendingBcast& b_pending) {
-      CscView view = unpack_csc_view(col_comm.bcast_wait(b_pending));
-      a_exchange.post(s, view);
-      return view;
-    };
-    vmpi::PendingBcast b_pending = post_b(0);
-    CscView b_view = prepare_stage(0, b_pending);
-    for (int s = 0; s < stages; ++s) {
-      obs::ScopedTag stage_tag(rec, obs::ScopedTag::Kind::kStage, s);
-      if (opts.pipeline && s + 1 < stages) b_pending = post_b(s + 1);
-      CscView a_view = a_exchange.wait(s);
-      tally_stage(a_view, b_view);
-      if (s + 1 < stages) {
-        if (!opts.pipeline) b_pending = post_b(s + 1);
-        b_view = prepare_stage(s + 1, b_pending);
-      }
-    }
-  } else {
-    StageBcasts current = post_stage(0);
-    for (int s = 0; s < stages; ++s) {
-      obs::ScopedTag stage_tag(rec, obs::ScopedTag::Kind::kStage, s);
-      CscView a_view = unpack_csc_view(row_comm.bcast_wait(current.a));
-      CscView b_view = unpack_csc_view(col_comm.bcast_wait(current.b));
-      if (opts.pipeline && s + 1 < stages) current = post_stage(s + 1);
-
-      tally_stage(a_view, b_view);
-      if (!opts.pipeline && s + 1 < stages) current = post_stage(s + 1);
-    }
-  }
+  run_summa_stages(
+      grid, local_a, local_b, opts, StagePhases{},
+      [&](const CscView& a_view, const CscView& b_view) {
+        const std::vector<Index> stage_cols =
+            symbolic_column_nnz(a_view, b_view);
+        if (my_col_nnz.empty()) my_col_nnz.assign(stage_cols.size(), 0);
+        CASP_CHECK_MSG(my_col_nnz.size() == stage_cols.size(),
+                       "symbolic3d: stage B widths disagree within a block "
+                       "column");
+        for (std::size_t j = 0; j < stage_cols.size(); ++j) {
+          my_col_nnz[j] += stage_cols[j];
+          my_unmerged += stage_cols[j];
+        }
+        my_flops += multiply_flops(a_view, b_view);
+      });
 
   SymbolicResult result;
   result.col_nnz = std::move(my_col_nnz);
@@ -109,25 +66,13 @@ SymbolicResult symbolic3d(Grid3D& grid, const CscMat& local_a,
   result.total_unmerged_nnz = world.allreduce_sum<Index>(my_unmerged);
   result.total_flops = world.allreduce_sum<Index>(my_flops);
 
-  if (total_memory == 0) {
-    result.batches = 1;
-    return result;
-  }
-
-  // Alg. 3 line 12: b = r * maxnnzC / (M/p - r * (maxnnzA + maxnnzB)).
-  const double r = static_cast<double>(kBytesPerNonzero);
-  const double per_process_memory =
-      static_cast<double>(total_memory) / static_cast<double>(world.size());
-  const double input_bytes =
-      r * static_cast<double>(result.max_nnz_a + result.max_nnz_b);
-  const double denom = per_process_memory - input_bytes;
-  if (denom <= 0.0) {
+  result.batches = eq2_batches(total_memory, world.size(), result.max_nnz_a,
+                               result.max_nnz_b, result.max_nnz_c);
+  if (result.batches == 0) {
     throw MemoryError(
         "symbolic3d: inputs alone exceed the per-process memory share; "
         "batching cannot help (Eq. 2 denominator <= 0)");
   }
-  const double b = r * static_cast<double>(result.max_nnz_c) / denom;
-  result.batches = std::max<Index>(1, static_cast<Index>(std::ceil(b)));
   return result;
 }
 

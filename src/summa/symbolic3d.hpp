@@ -38,6 +38,15 @@ struct SymbolicResult {
   std::vector<Index> col_nnz;
 };
 
+/// Eq. (2) / Alg. 3 line 12: b = ceil(r * maxnnzC / (M/p - r * (maxnnzA +
+/// maxnnzB))), in integers, with M/p floored — the per-rank share the
+/// service hands each rank's MemoryTracker. Admission and symbolic3d both
+/// call this, so the admitted b is the b the run starts at. Returns 1 for
+/// total_memory == 0 (unlimited) and 0 when the denominator is
+/// non-positive: the inputs alone overflow the most loaded process.
+Index eq2_batches(Bytes total_memory, int ranks, Index max_nnz_a,
+                  Index max_nnz_b, Index max_nnz_c);
+
 /// Collective over the whole grid. total_memory is M, the aggregate memory
 /// in bytes across all p processes (0 = unlimited -> b = 1). Throws
 /// MemoryError when even the inputs do not fit (denominator of Eq. 2

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/math.hpp"
 #include "grid/dist.hpp"
 #include "grid/grid3d.hpp"
 #include "summa/symbolic3d.hpp"
@@ -41,20 +40,14 @@ AdmissionEstimate estimate_admission(const JobSpec& spec, const CscMat& a,
   const Bytes r = kBytesPerNonzero;
   adm.input_bytes =
       r * static_cast<Bytes>(sym.max_nnz_a + sym.max_nnz_b);
-  if (spec.memory_bytes == 0) {
-    // Unlimited budget: Eq. (2) degenerates to b = 1.
-    adm.fits = true;
-    adm.batches = 1;
-    adm.per_process_share = 0;
-    return est;
-  }
-
+  // Unlimited budget: share 0 and Eq. (2) degenerates to b = 1.
   adm.per_process_share = spec.memory_bytes / static_cast<Bytes>(spec.ranks);
-  if (adm.per_process_share <= adm.input_bytes) {
+  adm.batches = eq2_batches(spec.memory_bytes, spec.ranks, sym.max_nnz_a,
+                            sym.max_nnz_b, sym.max_nnz_c);
+  adm.fits = adm.batches > 0;
+  if (!adm.fits) {
     // Eq. (2) denominator M/p - r*(maxnnzA + maxnnzB) <= 0: the inputs
     // alone overflow the most loaded process; no batch count helps.
-    adm.fits = false;
-    adm.batches = 0;
     std::ostringstream os;
     os << "admission: Eq. (2) denominator non-positive — per-process share "
        << adm.per_process_share << " B (M=" << spec.memory_bytes << " B / p="
@@ -63,13 +56,7 @@ AdmissionEstimate estimate_admission(const JobSpec& spec, const CscMat& a,
        << " + maxnnzB=" << adm.max_nnz_b
        << ")); batching cannot make the inputs fit";
     est.reason = os.str();
-    return est;
   }
-
-  adm.fits = true;
-  adm.batches = std::max<Index>(
-      1, ceil_div(static_cast<Index>(r) * sym.max_nnz_c,
-                  static_cast<Index>(adm.per_process_share - adm.input_bytes)));
   return est;
 }
 

@@ -9,9 +9,10 @@
 //
 //   b = r * maxnnzC / (M/p - r * (maxnnzA + maxnnzB))
 //
-// The Eq. (2) arithmetic is then applied serially here so a rejection can
-// name its evidence (share, input bytes, the non-positive denominator)
-// instead of surfacing as a MemoryError thrown mid-run on some rank.
+// Eq. (2) is then evaluated serially here, through the same eq2_batches
+// the run's symbolic3d calls, so a rejection can name its evidence (share,
+// input bytes, the non-positive denominator) instead of surfacing as a
+// MemoryError thrown mid-run on some rank.
 #pragma once
 
 #include <string>

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "sparse/csr_mat.hpp"
 #include "test_util.hpp"
 
 namespace casp {

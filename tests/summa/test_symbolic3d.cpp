@@ -124,5 +124,19 @@ TEST(Symbolic3D, MoreMemoryNeverMoreBatches) {
   });
 }
 
+// Eq. (2) floors M/p to whole bytes, the per-rank budget the service hands
+// each rank's MemoryTracker, so admission and the run agree on b.
+TEST(Eq2Batches, FloorsThePerRankShare) {
+  // r = 24, maxnnzA = maxnnzB = 1, maxnnzC = 4: inputs take 48 B per rank.
+  // 152 / 3 floors to 50 B, leaving 2 B: b = 96 / 2 = 48 (dividing in
+  // double instead leaves 2.67 B and gives 37).
+  EXPECT_EQ(eq2_batches(152, 3, 1, 1, 4), 48);
+  // 156 / 3 = 52 B exactly, leaving 4 B: b = 96 / 4 = 24.
+  EXPECT_EQ(eq2_batches(156, 3, 1, 1, 4), 24);
+  EXPECT_EQ(eq2_batches(0, 3, 1, 1, 4), 1);    // unlimited budget
+  EXPECT_EQ(eq2_batches(156, 3, 1, 1, 0), 1);  // empty product
+  EXPECT_EQ(eq2_batches(146, 3, 1, 1, 4), 0);  // 48 B share <= 48 B inputs
+}
+
 }  // namespace
 }  // namespace casp

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <string>
 
 #include "grid/dist.hpp"
 #include "summa/batched.hpp"
@@ -106,6 +108,68 @@ TEST(TrafficFormulas, BBcastBytesIndependentOfBatches) {
   EXPECT_LT(static_cast<double>(volumes[1]),
             1.6 * static_cast<double>(volumes[0]));
 }
+
+// The stage engine records the stage exchanges under the caller's phase
+// labels: Symbolic3D's under the one enclosing "Symbolic" phase, SUMMA2D's
+// under A-Bcast/B-Bcast. A batched run must therefore charge Symbolic
+// exactly what a standalone symbolic3d run sends, and A-Bcast/B-Bcast
+// exactly what the same run with the symbolic step skipped sends.
+class StageTrafficAttribution : public ::testing::TestWithParam<bool> {};
+
+TEST_P(StageTrafficAttribution, PhasesMatchStandaloneRuns) {
+  const bool sparse_comm = GetParam();
+  const int p = 8, l = 2;
+  const Index n = 40;
+  const CscMat a = testing::random_matrix(n, n, 3.0, 173);
+  SummaOptions opts;
+  opts.sparse_comm = sparse_comm;
+
+  auto batched_traffic = [&](Index force_batches) {
+    SummaOptions run_opts = opts;
+    run_opts.force_batches = force_batches;
+    auto result = vmpi::run(p, [&](vmpi::Comm& world) {
+      Grid3D grid(world, l);
+      const DistMat3D da = distribute_a_style(grid, a);
+      const DistMat3D db = distribute_b_style(grid, a);
+      (void)batched_summa3d<PlusTimes>(grid, da, db, 0, run_opts);
+    });
+    return result.traffic_summary().total_per_phase;
+  };
+  const auto with_symbolic = batched_traffic(0);
+  const auto without_symbolic = batched_traffic(1);
+  const auto standalone = vmpi::run(p, [&](vmpi::Comm& world) {
+                            Grid3D grid(world, l);
+                            const DistMat3D da = distribute_a_style(grid, a);
+                            const DistMat3D db = distribute_b_style(grid, a);
+                            (void)symbolic3d(grid, da.local, db.local, 0, opts);
+                          })
+                              .traffic_summary()
+                              .total_per_phase;
+
+  using Ledger = std::map<std::string, vmpi::PhaseTraffic>;
+  auto phase = [](const Ledger& ledger, const char* name) {
+    const auto it = ledger.find(name);
+    return it == ledger.end() ? vmpi::PhaseTraffic{} : it->second;
+  };
+  auto expect_same = [&](const Ledger& got, const Ledger& want,
+                         const char* name) {
+    const vmpi::PhaseTraffic g = phase(got, name), w = phase(want, name);
+    EXPECT_GT(w.messages, 0u) << name;
+    EXPECT_EQ(g.messages, w.messages) << name;
+    EXPECT_EQ(g.bytes, w.bytes) << name;
+    EXPECT_EQ(g.shipped, w.shipped) << name;
+  };
+  expect_same(with_symbolic, standalone, steps::kSymbolic);
+  expect_same(with_symbolic, without_symbolic, steps::kABcast);
+  expect_same(with_symbolic, without_symbolic, steps::kBBcast);
+  EXPECT_EQ(phase(without_symbolic, steps::kSymbolic).messages, 0u);
+  // The standalone symbolic pass leaks nothing into the bcast phases.
+  EXPECT_EQ(phase(standalone, steps::kABcast).messages, 0u);
+  EXPECT_EQ(phase(standalone, steps::kBBcast).messages, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(SparseComm, StageTrafficAttribution,
+                         ::testing::Values(false, true));
 
 }  // namespace
 }  // namespace casp

@@ -5,11 +5,16 @@
 // (f) sweeps the injected-crash scenarios over several seeds.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <string>
 
 #include "common/error.hpp"
+#include "grid/dist.hpp"
+#include "summa/symbolic3d.hpp"
+#include "svc/admission.hpp"
 #include "svc/server.hpp"
+#include "vmpi/runtime.hpp"
 
 namespace casp::svc {
 namespace {
@@ -63,6 +68,45 @@ TEST(Server, AdmissionEstimatesBatchesForFittingJobs) {
   // Terminal states release the reservation.
   EXPECT_EQ(server.tenant("alice").reserved(), 0u);
   EXPECT_GT(server.tenant("alice").peak_reserved(), 0u);
+}
+
+// Admission and Symbolic3D evaluate Eq. (2) through the same function, so
+// the admitted b is the b the run starts at even when p does not divide M.
+TEST(Server, AdmittedBatchCountIsTheOneTheRunStartsAt) {
+  JobSpec spec = small_spgemm("alice");
+  const CscMat a = spec.a.materialize();
+  const obs::JobAdmission probe = estimate_admission(spec, a, a).admission;
+  const Bytes r = kBytesPerNonzero;
+  const Bytes output_bytes = r * static_cast<Bytes>(probe.max_nnz_c);
+  // Pick a budget p = 4 does not divide whose Eq. (2) answer changes when
+  // M/p is kept fractional instead of floored.
+  for (Bytes spare = 1; spare < output_bytes && spec.memory_bytes == 0;
+       ++spare) {
+    const Bytes m = 4 * (probe.input_bytes + spare) + 3;
+    const double fractional_denom =
+        static_cast<double>(m) / 4.0 - static_cast<double>(probe.input_bytes);
+    const auto fractional_b = static_cast<Index>(
+        std::ceil(static_cast<double>(output_bytes) / fractional_denom));
+    if (eq2_batches(m, 4, probe.max_nnz_a, probe.max_nnz_b,
+                    probe.max_nnz_c) != fractional_b)
+      spec.memory_bytes = m;
+  }
+  ASSERT_GT(spec.memory_bytes, 0u) << "no budget where the roundings differ";
+
+  const AdmissionEstimate est = estimate_admission(spec, a, a);
+  ASSERT_TRUE(est.fits()) << est.reason;
+  Index run_batches = 0;
+  vmpi::run(spec.ranks, [&](vmpi::Comm& world) {
+    Grid3D grid(world, spec.layers);
+    const DistMat3D da = distribute_a_style(grid, a);
+    const DistMat3D db = distribute_b_style(grid, a);
+    const SymbolicResult sym =
+        symbolic3d(grid, da.local, db.local, spec.memory_bytes,
+                   spec.summa_options());
+    if (world.rank() == 0) run_batches = sym.batches;
+  });
+  EXPECT_EQ(run_batches, est.admission.batches)
+      << "M=" << spec.memory_bytes;
 }
 
 TEST(Server, MemoryQuotaRejectsOversizedReservationOutright) {

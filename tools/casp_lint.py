@@ -111,6 +111,16 @@ test (see tests/CMakeLists.txt). Rules:
                   `health_.assign(n, RankHealth::kAlive)` (before any
                   edge exists) stays allowed: it carries no `=` into the
                   enum token.
+  summa-single-stage-loop
+                  In src/summa/, only the stage engine (stage_engine.*)
+                  and the need-list exchange (sparse_comm.*) may post or
+                  wait a stage exchange: no `ibcast_payload(`,
+                  `bcast_wait(` or construction of a `SparseAExchange`
+                  elsewhere. The SUMMA stage loop exists once
+                  (run_summa_stages); summa2d and symbolic3d supply only
+                  the per-stage consumer and the phase labels. A second
+                  hand-written loop can drift from the first in message
+                  order, pipelining or phase attribution.
 
 Waivers (use sparingly, justify in a comment on the same line):
   // casp-lint: allow(<rule>)        — waives <rule> on this or next line
@@ -155,6 +165,16 @@ PAYLOAD_TYPE_RE = re.compile(r"\b(Payload|CscView)\b")
 # sanctioned ways to put block bytes on the wire there are subview handles
 # of the packed block (descriptors may be wrapped fresh).
 SPARSE_DEEP_COPY_RE = re.compile(r"\bPayload::copy_of\s*\(|\.\s*materialize\s*\(")
+
+# Stage-exchange primitives reserved to the SUMMA stage engine: the dense
+# broadcast post/wait and constructing the need-list A exchange (as a
+# declaration `SparseAExchange ex(...)`, a temporary, or via make_*<>).
+STAGE_LOOP_RE = re.compile(
+    r"\b(ibcast_payload|bcast_wait)\s*\(|"
+    r"\bSparseAExchange\s*[({]|\bSparseAExchange\s+\w+\s*[({;=]|"
+    r"<\s*SparseAExchange\s*>\s*\("
+)
+STAGE_LOOP_OWNERS = ("src/summa/stage_engine.", "src/summa/sparse_comm.")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+([<"][^>"]+[>"])')
 
@@ -370,6 +390,9 @@ class Linter:
         self.check_payload_ownership(rel, code_lines, waived)
         if in_src and "sparse_comm" in rel:
             self.check_sparse_subview_pack(rel, code_lines, waived)
+        if rel.startswith("src/summa/") and not rel.startswith(
+                STAGE_LOOP_OWNERS):
+            self.check_summa_single_stage_loop(rel, code_lines, waived)
         if rel.endswith(".hpp"):
             self.check_pragma_once(rel, code_lines, waived)
         self.check_include_order(rel, raw_lines, waived)
@@ -647,6 +670,17 @@ class Linter:
                     "a copy_of/materialize here breaks the zero-copy "
                     "guarantee bench_sparse_exchange gates on")
 
+    def check_summa_single_stage_loop(self, rel, code_lines, waived):
+        for idx, line in enumerate(code_lines):
+            if STAGE_LOOP_RE.search(line) and not waived(
+                    "summa-single-stage-loop", idx):
+                self.error(
+                    rel, idx + 1, "summa-single-stage-loop",
+                    "stage exchange posted or waited outside the SUMMA "
+                    "stage engine — run the stages through "
+                    "run_summa_stages (summa/stage_engine.hpp) and pass "
+                    "only the per-stage consumer")
+
     def check_pragma_once(self, rel, code_lines, waived):
         for idx, line in enumerate(code_lines):
             stripped = line.strip()
@@ -709,6 +743,7 @@ class Linter:
 
 
 FIXTURE_RULES_RE = re.compile(r"lint-rules:\s*([a-z, -]+)")
+FIXTURE_PATH_RE = re.compile(r"lint-path:\s*(\S+)")
 
 
 def self_test(root: Path) -> int:
@@ -719,7 +754,9 @@ def self_test(root: Path) -> int:
     fixture declares the rule(s) it exercises with a `// lint-rules: a,b`
     header line — errors from other rules are ignored, so a fixture only
     tests what it claims to. Fixtures without the header default to
-    rank-divergent-collective (the original corpus)."""
+    rank-divergent-collective (the original corpus). A `// lint-path: p`
+    header lints the fixture as repo-relative path p instead of
+    src/<name>, for rules scoped to one directory or file."""
     fixtures = sorted((root / "tests" / "lint" / "fixtures").glob("*.cpp.txt"))
     if not fixtures:
         print("casp_lint --self-test: no fixtures found", file=sys.stderr)
@@ -736,8 +773,10 @@ def self_test(root: Path) -> int:
         m = FIXTURE_RULES_RE.search(text)
         if m:
             rules = {r.strip() for r in m.group(1).split(",") if r.strip()}
+        pm = FIXTURE_PATH_RE.search(text)
+        rel = pm.group(1) if pm else f"src/{path.stem}"
         linter = Linter(root)
-        linter.lint_text(f"src/{path.stem}", text)
+        linter.lint_text(rel, text)
         got = {
             int(e.split(":")[1])
             for e in linter.errors
