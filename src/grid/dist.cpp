@@ -1,7 +1,14 @@
 #include "grid/dist.hpp"
 
+#include <algorithm>
+#include <cstring>
+#include <functional>
+#include <numeric>
+#include <utility>
+
 #include "common/error.hpp"
 #include "common/math.hpp"
+#include "sparse/serialize.hpp"
 
 namespace casp {
 
@@ -82,21 +89,180 @@ DistMat3D distribute_b_style(const Grid3D& grid, const CscMat& global) {
   return d;
 }
 
-CscMat gather_dist(Grid3D& grid, const DistMat3D& dist) {
-  // Ship local entries as (global row, global col, value) triples.
-  std::vector<Triple> mine;
-  mine.reserve(static_cast<std::size_t>(dist.local.nnz()));
-  for (Index j = 0; j < dist.local.ncols(); ++j) {
-    const auto rows = dist.local.col_rowids(j);
-    const auto values = dist.local.col_vals(j);
-    for (std::size_t k = 0; k < rows.size(); ++k)
-      mine.push_back(
-          {rows[k] + dist.rows.start, j + dist.cols.start, values[k]});
+namespace {
+
+/// One rank's block as the assembly reads it: its global origin and a
+/// read-only view of the local CSC arrays (in place for the caller's own
+/// block, inside the received payload for every other block).
+struct Block {
+  Index row_start = 0;
+  Index col_start = 0;
+  CscView local;
+};
+
+/// Words shipped ahead of each packed block: its global (row, col) origin.
+constexpr std::size_t kOriginWords = 2;
+
+Payload pack_block(const DistMat3D& dist) {
+  const Index origin[kOriginWords] = {dist.rows.start, dist.cols.start};
+  return pack_csc_payload(dist.local, origin);
+}
+
+Block own_block(const DistMat3D& dist) {
+  const CscMat& m = dist.local;
+  return {dist.rows.start, dist.cols.start,
+          CscView(m.nrows(), m.ncols(), m.colptr(), m.rowids(), m.vals(),
+                  Payload{})};
+}
+
+Block received_block(const Payload& p) {
+  Index origin[kOriginWords] = {};
+  CASP_CHECK_MSG(p.size() >= sizeof(origin),
+                 "gather_dist: block shorter than its origin header");
+  std::memcpy(origin, p.data(), sizeof(origin));
+  return {origin[0], origin[1],
+          unpack_csc_view(
+              p.subview(sizeof(origin), p.size() - sizeof(origin)))};
+}
+
+bool overlaps(Index a, Index a_count, Index b, Index b_count) {
+  return a < b + b_count && b < a + a_count;
+}
+
+/// Canonicalizes one output column in place exactly as
+/// TripleMat::canonicalize does for its entries: sorted by row, duplicate
+/// rows summed (zeros kept). Returns the column's new length.
+std::size_t canonicalize_column(Index* rows, Value* vals, std::size_t n) {
+  std::vector<std::pair<Index, Value>> entries(n);
+  for (std::size_t k = 0; k < n; ++k) entries[k] = {rows[k], vals[k]};
+  std::stable_sort(
+      entries.begin(), entries.end(),
+      [](const auto& x, const auto& y) { return x.first < y.first; });
+  std::size_t out = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (out > 0 && rows[out - 1] == entries[k].first) {
+      vals[out - 1] += entries[k].second;
+      continue;
+    }
+    rows[out] = entries[k].first;
+    vals[out] = entries[k].second;
+    ++out;
   }
-  TripleMat global(dist.global_rows, dist.global_cols);
-  global.entries() = grid.world().allgather_vec<Triple>(mine);
-  global.check_bounds();
-  return CscMat::from_triples(std::move(global));
+  return out;
+}
+
+CscMat assemble(Index nrows, Index ncols, std::vector<Block> blocks) {
+  for (const Block& b : blocks)
+    CASP_CHECK_MSG(b.row_start >= 0 && b.col_start >= 0 &&
+                       b.row_start + b.local.nrows() <= nrows &&
+                       b.col_start + b.local.ncols() <= ncols,
+                   "gather_dist: block at (" << b.row_start << ","
+                       << b.col_start << ") of " << b.local.nrows() << "x"
+                       << b.local.ncols() << " escapes the " << nrows << "x"
+                       << ncols << " matrix");
+  for (std::size_t x = 0; x < blocks.size(); ++x)
+    for (std::size_t y = x + 1; y < blocks.size(); ++y) {
+      const Block& a = blocks[x];
+      const Block& b = blocks[y];
+      CASP_CHECK_MSG(
+          !overlaps(a.col_start, a.local.ncols(), b.col_start,
+                    b.local.ncols()) ||
+              !overlaps(a.row_start, a.local.nrows(), b.row_start,
+                        b.local.nrows()),
+          "gather_dist: blocks at (" << a.row_start << "," << a.col_start
+              << ") and (" << b.row_start << "," << b.col_start
+              << ") share a column and overlap in rows");
+    }
+  // Row-start order: blocks sharing a column then fill it top to bottom.
+  std::stable_sort(blocks.begin(), blocks.end(),
+                   [](const Block& a, const Block& b) {
+                     return a.row_start < b.row_start;
+                   });
+
+  std::vector<Index> colptr(static_cast<std::size_t>(ncols) + 1, 0);
+  for (const Block& b : blocks)
+    for (Index j = 0; j < b.local.ncols(); ++j) {
+      const Index n = b.local.col_nnz(j);
+      CASP_CHECK_MSG(n >= 0, "gather_dist: corrupt block colptr");
+      colptr[static_cast<std::size_t>(b.col_start + j) + 1] += n;
+    }
+  std::partial_sum(colptr.begin(), colptr.end(), colptr.begin());
+
+  const auto nnz = static_cast<std::size_t>(colptr.back());
+  std::vector<Index> rowids(nnz);
+  std::vector<Value> vals(nnz);
+  std::vector<Index> cursor(colptr.begin(), colptr.end() - 1);
+  for (const Block& b : blocks)
+    for (Index j = 0; j < b.local.ncols(); ++j) {
+      const auto rows = b.local.col_rowids(j);
+      const auto values = b.local.col_vals(j);
+      Index& at = cursor[static_cast<std::size_t>(b.col_start + j)];
+      Index* out = rowids.data() + at;
+      for (std::size_t k = 0; k < rows.size(); ++k)
+        out[k] = rows[k] + b.row_start;
+      std::copy(values.begin(), values.end(), vals.data() + at);
+      at += static_cast<Index>(rows.size());
+    }
+
+  // A column is already canonical when each of its block segments is row
+  // sorted. One that is not (sort_final = false, or a merge kind that left
+  // a duplicate) is canonicalized on its own and the tail slides down.
+  std::size_t out = 0;
+  for (std::size_t c = 0; c < static_cast<std::size_t>(ncols); ++c) {
+    const auto lo = static_cast<std::size_t>(colptr[c]);
+    const auto hi = static_cast<std::size_t>(colptr[c + 1]);
+    colptr[c] = static_cast<Index>(out);
+    Index* first = rowids.data() + lo;
+    std::size_t n = hi - lo;
+    if (std::adjacent_find(first, first + n, std::greater_equal<>()) !=
+        first + n)
+      n = canonicalize_column(first, vals.data() + lo, n);
+    if (out != lo) {
+      std::copy(first, first + n, rowids.data() + out);
+      std::copy(vals.data() + lo, vals.data() + lo + n, vals.data() + out);
+    }
+    out += n;
+  }
+  colptr.back() = static_cast<Index>(out);
+  rowids.resize(out);
+  vals.resize(out);
+  // The constructor's validation adds the per-entry global row bounds.
+  return CscMat(nrows, ncols, std::move(colptr), std::move(rowids),
+                std::move(vals));
+}
+
+/// Assembles from one received handle per rank; the caller's own block is
+/// read in place.
+CscMat assemble_gathered(const vmpi::Comm& world, const DistMat3D& dist,
+                         const std::vector<Payload>& handles) {
+  std::vector<Block> blocks;
+  blocks.reserve(handles.size());
+  for (std::size_t r = 0; r < handles.size(); ++r)
+    blocks.push_back(static_cast<int>(r) == world.rank()
+                         ? own_block(dist)
+                         : received_block(handles[r]));
+  return assemble(dist.global_rows, dist.global_cols, std::move(blocks));
+}
+
+}  // namespace
+
+Bytes packed_block_size(const DistMat3D& dist) {
+  return kOriginWords * sizeof(Index) + packed_size(dist.local);
+}
+
+CscMat gather_dist(Grid3D& grid, const DistMat3D& dist) {
+  vmpi::Comm& world = grid.world();
+  return assemble_gathered(world, dist,
+                           world.allgather_payload(pack_block(dist)));
+}
+
+CscMat gather_dist_root(Grid3D& grid, const DistMat3D& dist) {
+  vmpi::Comm& world = grid.world();
+  // Rank 0 reads its own block in place, so it ships nothing to itself.
+  const std::vector<Payload> handles = world.gather_payload(
+      world.rank() == 0 ? Payload{} : pack_block(dist));
+  if (world.rank() != 0) return CscMat{};
+  return assemble_gathered(world, dist, handles);
 }
 
 }  // namespace casp

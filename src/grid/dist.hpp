@@ -59,9 +59,32 @@ CscMat extract_block(const CscMat& m, Index r0, Index r1, Index c0, Index c1);
 DistMat3D distribute_a_style(const Grid3D& grid, const CscMat& global);
 DistMat3D distribute_b_style(const Grid3D& grid, const CscMat& global);
 
-/// Collective: reassemble a distributed matrix onto every rank (for tests
-/// and result verification). Works for both styles since DistMat3D carries
-/// its global ranges.
+// Reassembly. Each rank ships its packed CSC block with the block's global
+// origin (packed_block_size bytes); the receiver reads its own block in
+// place and assembles the global matrix in O(nnz + ncols) with no triple
+// sort: blocks are taken in row-start order, colptr is the sum of the
+// per-column counts, and each block's column segment is copied to a
+// per-column cursor with the row offset added. Only a column whose row ids
+// are not strictly increasing (sort_final = false, or a merge kind that
+// left a duplicate row) is canonicalized, on its own: sorted, duplicates
+// summed, as TripleMat::canonicalize would. The result is therefore
+// bit-identical to CscMat::from_triples over the same entries. The old
+// triple path's bounds checks stay as CASP_CHECKs: every block lies inside
+// the global shape, and blocks sharing a column own disjoint rows. Both
+// variants work for either style, since DistMat3D carries its global
+// ranges.
+
+/// Collective: reassemble onto every rank (tests, MCL's replicated
+/// iterate, result verification) — an allgather of the packed blocks.
 CscMat gather_dist(Grid3D& grid, const DistMat3D& dist);
+
+/// Collective: reassemble onto world rank 0 only — a gather of the packed
+/// blocks, so delivery moves about (p-1)/p of one copy of the matrix
+/// instead of p copies. Every other rank returns an empty CscMat.
+CscMat gather_dist_root(Grid3D& grid, const DistMat3D& dist);
+
+/// Bytes one rank ships in either gather: its packed CSC block plus the
+/// block's (row, col) origin.
+Bytes packed_block_size(const DistMat3D& dist);
 
 }  // namespace casp

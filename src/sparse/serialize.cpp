@@ -37,9 +37,12 @@ Bytes packed_size(const CscMat& mat) {
          static_cast<Bytes>(mat.nnz()) * (sizeof(Index) + sizeof(Value));
 }
 
-std::vector<std::byte> pack_csc(const CscMat& mat) {
+namespace {
+std::vector<std::byte> pack_with_prefix(const CscMat& mat,
+                                        std::span<const Index> prefix) {
   std::vector<std::byte> buf;
-  buf.reserve(packed_size(mat));
+  buf.reserve(prefix.size() * sizeof(Index) + packed_size(mat));
+  append(buf, prefix.data(), prefix.size());
   const Header h{mat.nrows(), mat.ncols(), mat.nnz()};
   append(buf, &h, 1);
   append(buf, mat.colptr().data(), mat.colptr().size());
@@ -47,9 +50,14 @@ std::vector<std::byte> pack_csc(const CscMat& mat) {
   append(buf, mat.vals().data(), mat.vals().size());
   return buf;
 }
+}  // namespace
 
-Payload pack_csc_payload(const CscMat& mat) {
-  return Payload::wrap(pack_csc(mat));
+std::vector<std::byte> pack_csc(const CscMat& mat) {
+  return pack_with_prefix(mat, {});
+}
+
+Payload pack_csc_payload(const CscMat& mat, std::span<const Index> prefix) {
+  return Payload::wrap(pack_with_prefix(mat, prefix));
 }
 
 namespace {

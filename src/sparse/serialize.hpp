@@ -6,6 +6,7 @@
 // experiments.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "common/payload.hpp"
@@ -18,8 +19,12 @@ std::vector<std::byte> pack_csc(const CscMat& mat);
 CscMat unpack_csc(const std::vector<std::byte>& buffer);
 
 /// Pack straight into a transport payload (one allocation, no intermediate
-/// buffer) for handle-forwarding sends.
-Payload pack_csc_payload(const CscMat& mat);
+/// buffer) for handle-forwarding sends. `prefix` words, if any, are written
+/// ahead of the matrix — a caller's own small header; the matrix then
+/// starts at byte prefix.size() * sizeof(Index), which keeps it 8-byte
+/// aligned for unpack_csc_view on a subview.
+Payload pack_csc_payload(const CscMat& mat,
+                         std::span<const Index> prefix = {});
 
 /// Borrow the CSC arrays directly from a packed payload — the zero-copy
 /// receive path. The returned view shares ownership of the payload's

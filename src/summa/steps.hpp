@@ -44,6 +44,12 @@ inline constexpr const char* kRebatchConsensus = "Rebatch-Consensus";
 /// on the common restore point (ranks may hold generations one save apart,
 /// since a crash is not a barrier).
 inline constexpr const char* kCkptResume = "Ckpt-Resume";
+
+/// Also outside the paper's seven steps: the service's delivery of a
+/// finished SpGEMM product to world rank 0 (gather_dist_root). Alg. 4 hands
+/// each rank's block to the application; naming the delivery keeps its
+/// traffic out of phase "default" in run reports and billing.
+inline constexpr const char* kResultGather = "Result-Gather";
 }  // namespace steps
 
 /// Knobs for the SUMMA family. Defaults are this paper's configuration

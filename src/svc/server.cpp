@@ -13,8 +13,10 @@
 #include "grid/dist.hpp"
 #include "grid/grid3d.hpp"
 #include "kernels/semiring.hpp"
+#include "obs/recorder.hpp"
 #include "obs/report.hpp"
 #include "summa/batched.hpp"
+#include "summa/steps.hpp"
 #include "svc/admission.hpp"
 #include "vmpi/faults.hpp"
 
@@ -799,7 +801,11 @@ void Server::run_body(JobRecord& rec, vmpi::Comm& world, int layers,
         if (world.rank() == 0) rec.attempt_paused = true;
         break;
       }
-      CscMat full = gather_dist(grid, r.c);
+      CscMat full;
+      {
+        obs::PhaseSpan span(world.recorder(), steps::kResultGather);
+        full = gather_dist_root(grid, r.c);
+      }
       if (world.rank() == 0) {
         rec.c = std::move(full);
         rec.batches = r.batches;

@@ -601,22 +601,31 @@ std::vector<Payload> Comm::sparse_wait(PendingSparse& pending,
   return received;
 }
 
-std::vector<Payload> Comm::allgather_payload(Payload mine) {
-  std::vector<Payload> gathered(static_cast<std::size_t>(size_));
+std::vector<Payload> Comm::gather_payload(Payload mine) {
+  std::vector<Payload> gathered;
+  if (rank_ == 0) gathered.resize(static_cast<std::size_t>(size_));
   if (size_ == 1) {
     gathered[0] = std::move(mine);
     return gathered;
   }
-  {
-    CASP_VMPI_COLLECTIVE(CollectiveOp::kAllgather, 0, 0);
-    if (rank_ == 0) {
-      gathered[0] = std::move(mine);
-      for (int r = 1; r < size_; ++r)
-        gathered[static_cast<std::size_t>(r)] = recv_payload(r, kGatherTag);
-    } else {
-      send_payload(0, kGatherTag, std::move(mine));
-    }
+  CASP_VMPI_COLLECTIVE(CollectiveOp::kGather, 0, 0);
+  if (rank_ == 0) {
+    gathered[0] = std::move(mine);
+    for (int r = 1; r < size_; ++r)
+      gathered[static_cast<std::size_t>(r)] = recv_payload(r, kGatherTag);
+  } else {
+    send_payload(0, kGatherTag, std::move(mine));
   }
+  return gathered;
+}
+
+std::vector<Payload> Comm::allgather_payload(Payload mine) {
+  if (size_ == 1) return gather_payload(std::move(mine));
+  // The gather and the broadcast nest inside one allgather stamp, so a rank
+  // that enters gather_payload while its peers allgather is caught by the
+  // checker at the first message instead of stalling at the broadcast.
+  CASP_VMPI_COLLECTIVE(CollectiveOp::kAllgather, 0, 0);
+  std::vector<Payload> gathered = gather_payload(std::move(mine));
   // Rank 0 builds one packed concatenation (with per-rank length headers) —
   // the only byte copy in the collective — then every rank, rank 0
   // included, returns subviews into the shared broadcast buffer.
@@ -637,6 +646,7 @@ std::vector<Payload> Comm::allgather_payload(Payload mine) {
     packed = Payload::wrap(std::move(buf));
   }
   packed = bcast_payload(0, std::move(packed));
+  gathered.resize(static_cast<std::size_t>(size_));
   std::size_t offset = 0;
   for (int r = 0; r < size_; ++r) {
     std::uint64_t len = 0;

@@ -412,7 +412,12 @@ class Comm {
     return out.at(0);
   }
 
-  /// All-gather of one payload per rank (binomial gather to rank 0 +
+  /// Gather of one payload per rank to rank 0 ("gather" collective): rank
+  /// 0 returns size() handles in rank order, each sharing its sender's
+  /// allocation (no copy); every other rank returns an empty vector.
+  std::vector<Payload> gather_payload(Payload mine);
+
+  /// All-gather of one payload per rank (gather_payload to rank 0 +
   /// broadcast of the concatenation). Returns size() handles; on every rank
   /// they are subviews of one shared concatenation buffer.
   std::vector<Payload> allgather_payload(Payload mine);

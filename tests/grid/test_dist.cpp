@@ -2,8 +2,12 @@
 // layouts of Fig. 1.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <mutex>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "grid/dist.hpp"
 #include "test_util.hpp"
@@ -11,6 +15,12 @@
 
 namespace casp {
 namespace {
+
+void expect_empty(const CscMat& m) {
+  EXPECT_EQ(m.nrows(), 0);
+  EXPECT_EQ(m.ncols(), 0);
+  EXPECT_EQ(m.nnz(), 0);
+}
 
 struct DistCase {
   int p;
@@ -45,6 +55,37 @@ TEST_P(DistRoundTrip, BStyleGatherRestoresGlobal) {
   });
 }
 
+TEST_P(DistRoundTrip, RootGatherIsExactForBothStyles) {
+  const auto [p, l, rows, cols] = GetParam();
+  const CscMat global = testing::random_matrix(rows, cols, 3.0, 45);
+  vmpi::run(p, [&, l = l](vmpi::Comm& world) {
+    Grid3D grid(world, l);
+    const CscMat from_a =
+        gather_dist_root(grid, distribute_a_style(grid, global));
+    const CscMat from_b =
+        gather_dist_root(grid, distribute_b_style(grid, global));
+    if (world.rank() == 0) {
+      testing::expect_mat_identical(from_a, global);
+      testing::expect_mat_identical(from_b, global);
+    } else {
+      expect_empty(from_a);
+      expect_empty(from_b);
+    }
+  });
+}
+
+TEST_P(DistRoundTrip, AllRankGatherIsExactOnEveryRank) {
+  const auto [p, l, rows, cols] = GetParam();
+  const CscMat global = testing::random_matrix(rows, cols, 3.0, 46);
+  vmpi::run(p, [&, l = l](vmpi::Comm& world) {
+    Grid3D grid(world, l);
+    testing::expect_mat_identical(gather_dist(grid, distribute_a_style(grid, global)),
+                         global);
+    testing::expect_mat_identical(gather_dist(grid, distribute_b_style(grid, global)),
+                         global);
+  });
+}
+
 TEST_P(DistRoundTrip, LocalNnzSumsToGlobal) {
   const auto [p, l, rows, cols] = GetParam();
   const CscMat global = testing::random_matrix(rows, cols, 2.5, 44);
@@ -66,6 +107,125 @@ INSTANTIATE_TEST_SUITE_P(
                       DistCase{9, 1, 27, 31},
                       // more ranks than columns: some blocks empty
                       DistCase{16, 4, 5, 3}));
+
+/// The same block with every column's row order reversed — what a block
+/// built with sort_final = false may look like.
+CscMat reverse_columns(const CscMat& m) {
+  std::vector<Index> rowids(m.rowids().begin(), m.rowids().end());
+  std::vector<Value> vals(m.vals().begin(), m.vals().end());
+  const auto colptr = m.colptr();
+  for (std::size_t j = 0; j + 1 < colptr.size(); ++j) {
+    const auto lo = static_cast<std::ptrdiff_t>(colptr[j]);
+    const auto hi = static_cast<std::ptrdiff_t>(colptr[j + 1]);
+    std::reverse(rowids.begin() + lo, rowids.begin() + hi);
+    std::reverse(vals.begin() + lo, vals.begin() + hi);
+  }
+  return CscMat(m.nrows(), m.ncols(),
+                std::vector<Index>(colptr.begin(), colptr.end()),
+                std::move(rowids), std::move(vals));
+}
+
+TEST(DistGather, UnsortedBlockColumnsComeBackSortedLikeFromTriples) {
+  const CscMat global = testing::random_matrix(30, 22, 4.0, 47);
+  const CscMat reference = CscMat::from_triples(global.to_triples());
+  vmpi::run(4, [&](vmpi::Comm& world) {
+    Grid3D grid(world, 1);
+    DistMat3D dist = distribute_a_style(grid, global);
+    dist.local = reverse_columns(dist.local);
+    const CscMat root = gather_dist_root(grid, dist);
+    if (world.rank() == 0) testing::expect_mat_identical(root, reference);
+    testing::expect_mat_identical(gather_dist(grid, dist), reference);
+  });
+}
+
+TEST(DistGather, DuplicateRowsInABlockColumnAreSummedLikeFromTriples) {
+  // Rank 1's column 0 repeats row 2 out of order; from_triples sums it.
+  const auto block = [](int rank) {
+    if (rank == 0) return CscMat(4, 2, {0, 1, 2}, {3, 1}, {0.5, 0.25});
+    return CscMat(4, 2, {0, 3, 3}, {2, 0, 2}, {1.0, 2.0, 4.0});
+  };
+  TripleMat all(8, 2);
+  for (int rank = 0; rank < 2; ++rank) {
+    const TripleMat mine = block(rank).to_triples();
+    for (const Triple& t : mine.entries())
+      all.push_back(t.row + 4 * rank, t.col, t.val);
+  }
+  const CscMat reference = CscMat::from_triples(std::move(all));
+  ASSERT_EQ(reference.nnz(), 4);
+  vmpi::run(2, [&](vmpi::Comm& world) {
+    Grid3D grid(world, 2);  // p=2 is a valid grid only as 1x1x2
+    DistMat3D dist;
+    dist.global_rows = 8;
+    dist.global_cols = 2;
+    dist.rows = {4 * world.rank(), 4};
+    dist.cols = {0, 2};
+    dist.local = block(world.rank());
+    const CscMat root = gather_dist_root(grid, dist);
+    if (world.rank() == 0) testing::expect_mat_identical(root, reference);
+    testing::expect_mat_identical(gather_dist(grid, dist), reference);
+  });
+}
+
+/// Runs a 2-rank root gather in which rank 1's block is moved to
+/// (row_start, col_start); returns the CASP_CHECK message it raised.
+std::string gather_with_rank1_block_at(Index row_start, Index col_start) {
+  const CscMat global = testing::random_matrix(8, 8, 3.0, 48);
+  try {
+    vmpi::run(2, [&](vmpi::Comm& world) {
+      Grid3D grid(world, 2);  // p=2 is a valid grid only as 1x1x2
+      DistMat3D dist;
+      dist.global_rows = 8;
+      dist.global_cols = 8;
+      dist.rows = {world.rank() == 0 ? Index{0} : row_start, 4};
+      dist.cols = {world.rank() == 0 ? Index{0} : col_start, 4};
+      dist.local = extract_block(global, 0, 4, 0, 4);
+      (void)gather_dist_root(grid, dist);
+    });
+  } catch (const std::logic_error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "gather assembled a matrix from invalid blocks";
+  return {};
+}
+
+TEST(DistGather, OverlappingBlocksTripACheck) {
+  // Shares columns 2-3 and rows 2-3 with rank 0's block.
+  const std::string what = gather_with_rank1_block_at(2, 2);
+  EXPECT_NE(what.find("CASP_CHECK"), std::string::npos) << what;
+  EXPECT_NE(what.find("overlap"), std::string::npos) << what;
+}
+
+TEST(DistGather, OutOfRangeBlocksTripACheck) {
+  // Rows 6-9 of an 8-row matrix.
+  const std::string what = gather_with_rank1_block_at(6, 4);
+  EXPECT_NE(what.find("CASP_CHECK"), std::string::npos) << what;
+  EXPECT_NE(what.find("escapes"), std::string::npos) << what;
+}
+
+TEST(DistGather, StackedBlocksInASharedColumnAssemble) {
+  // Control for the two checks above: the same block at rows 0-3 and at
+  // rows 4-7 of the same columns is a valid layout.
+  const CscMat global = testing::random_matrix(8, 8, 3.0, 48);
+  const CscMat top = extract_block(global, 0, 4, 0, 4);
+  TripleMat stacked(8, 8);
+  const TripleMat top_entries = top.to_triples();
+  for (const Triple& t : top_entries.entries()) {
+    stacked.push_back(t.row, t.col, t.val);
+    stacked.push_back(t.row + 4, t.col, t.val);
+  }
+  const CscMat reference = CscMat::from_triples(std::move(stacked));
+  vmpi::run(2, [&](vmpi::Comm& world) {
+    Grid3D grid(world, 2);
+    DistMat3D dist;
+    dist.global_rows = 8;
+    dist.global_cols = 8;
+    dist.rows = {world.rank() == 0 ? Index{0} : Index{4}, 4};
+    dist.cols = {0, 4};
+    dist.local = top;
+    const CscMat back = gather_dist_root(grid, dist);
+    if (world.rank() == 0) testing::expect_mat_identical(back, reference);
+  });
+}
 
 TEST(DistRanges, AStyleRangesPartitionTheMatrix) {
   // Across all ranks, the (rows x cols) rectangles must tile the matrix

@@ -5,15 +5,19 @@
 // (f) sweeps the injected-crash scenarios over several seeds.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <string>
 
 #include "common/error.hpp"
 #include "grid/dist.hpp"
+#include "kernels/reference.hpp"
+#include "summa/steps.hpp"
 #include "summa/symbolic3d.hpp"
 #include "svc/admission.hpp"
 #include "svc/server.hpp"
+#include "test_util.hpp"
 #include "vmpi/runtime.hpp"
 
 namespace casp::svc {
@@ -200,6 +204,44 @@ TEST(Server, SubSizedJobRunsOnASplitOfThePool) {
   const JobRecord& job = server.wait(id);
   EXPECT_EQ(job.state, JobState::kDone) << job.reason;
   EXPECT_GT(job.c.nnz(), 0);
+}
+
+// The product is delivered to rank 0 only: rec.c is the serial reference
+// bit for bit, and the job's Result-Gather traffic is exactly the packed
+// blocks of ranks 1..p-1 — a broadcast back to every rank would add to it.
+TEST(Server, SpGemmResultIsGatheredToRankZeroOnly) {
+  for (const int layers : {1, 4}) {
+    for (const bool sort_final : {true, false}) {
+      SCOPED_TRACE("l=" + std::to_string(layers) +
+                   " sort_final=" + std::to_string(sort_final));
+      Server server(ServerOptions{});
+      JobSpec spec = small_spgemm("alice", 11);
+      // Unit values keep every partial sum an exact integer, so any
+      // summation order gives the reference's bits.
+      spec.a.er.random_values = false;
+      spec.layers = layers;
+      spec.sort_final = sort_final;
+      const JobRecord& job = server.wait(server.submit(std::move(spec)));
+      ASSERT_EQ(job.state, JobState::kDone) << job.reason;
+      const CscMat expected =
+          reference_multiply<PlusTimes>(job.in_a, job.in_b);
+      testing::expect_mat_identical(job.c, expected);
+
+      std::atomic<Bytes> non_root_blocks{0};
+      vmpi::run(4, [&](vmpi::Comm& world) {
+        Grid3D grid(world, layers);
+        const DistMat3D block = distribute_a_style(grid, expected);
+        if (world.rank() != 0) non_root_blocks += packed_block_size(block);
+      });
+      ASSERT_TRUE(job.report.run.has_value());
+      const auto& phases = job.report.run->phases;
+      const auto it = phases.find(steps::kResultGather);
+      ASSERT_NE(it, phases.end());
+      EXPECT_EQ(it->second.total.bytes, non_root_blocks.load());
+      EXPECT_EQ(it->second.total.messages, 3u);
+      EXPECT_GT(it->second.seconds_max, 0.0);
+    }
+  }
 }
 
 TEST(Server, StructuralErrorsThrowInsteadOfRecording) {

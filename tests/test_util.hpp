@@ -48,6 +48,20 @@ inline void expect_mat_near(const CscMat& a, const CscMat& b,
   EXPECT_LE(diff, tol) << "max elementwise difference " << diff;
 }
 
+/// Assert bit-for-bit equality: same shape and identical colptr, rowids
+/// and vals arrays (no canonicalization, no tolerance).
+inline void expect_mat_identical(const CscMat& got, const CscMat& want) {
+  ASSERT_EQ(got.nrows(), want.nrows());
+  ASSERT_EQ(got.ncols(), want.ncols());
+  const auto vec = [](auto span) {
+    return std::vector<typename decltype(span)::value_type>(span.begin(),
+                                                            span.end());
+  };
+  EXPECT_EQ(vec(got.colptr()), vec(want.colptr()));
+  EXPECT_EQ(vec(got.rowids()), vec(want.rowids()));
+  EXPECT_EQ(vec(got.vals()), vec(want.vals()));
+}
+
 /// Random rectangular test matrix with approximately d nnz per column.
 inline CscMat random_matrix(Index rows, Index cols, double d,
                             std::uint64_t seed) {

@@ -100,6 +100,28 @@ TEST(CollectiveChecker, DivergentAllreduceLengthsAbortWithBothLengths) {
 #endif
 }
 
+TEST(CollectiveChecker, GatherAgainstAllgatherNamesTheGather) {
+#ifndef CASP_VMPI_CHECK
+  GTEST_SKIP() << "requires CASP_VMPI_CHECK";
+#else
+  // Rank 1 enters an allgather while the others enter a root gather. Both
+  // start by shipping to rank 0, so the tags line up; only the stamps
+  // differ, and rank 0 reads rank 1's message first.
+  const std::string what =
+      capture_failure<CollectiveMismatch>(3, [](Comm& comm) {
+        Payload mine = Payload::wrap(std::vector<std::byte>(4, std::byte{1}));
+        if (comm.rank() == 1)
+          (void)comm.allgather_payload(std::move(mine));
+        else
+          (void)comm.gather_payload(std::move(mine));
+      });
+  EXPECT_NE(what.find("collective mismatch"), std::string::npos) << what;
+  // " gather #", not "allgather #": the stamp names the root gather.
+  EXPECT_NE(what.find(" gather #"), std::string::npos) << what;
+  EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+#endif
+}
+
 TEST(CollectiveChecker, CompetingBcastRootsAreCaughtAsLeftoverTraffic) {
 #ifndef CASP_VMPI_CHECK
   GTEST_SKIP() << "requires CASP_VMPI_CHECK";

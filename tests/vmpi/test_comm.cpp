@@ -176,6 +176,58 @@ TEST_P(CommCollectives, SplitReversedKeyReordersRanks) {
 INSTANTIATE_TEST_SUITE_P(RankCounts, CommCollectives,
                          ::testing::Values(1, 2, 3, 4, 5, 7, 8, 16));
 
+class CommGather : public ::testing::TestWithParam<int> {};
+
+TEST_P(CommGather, RootReceivesSendersAllocationsInRankOrder) {
+  const int p = GetParam();
+  // Each rank records where its payload's bytes live before sending; the
+  // mailbox handoff orders that write before rank 0's read.
+  std::vector<const std::byte*> sent(static_cast<std::size_t>(p), nullptr);
+  run(p, [p, &sent](Comm& comm) {
+    // Rank r contributes r + 1 bytes, each with value r.
+    std::vector<std::byte> mine(static_cast<std::size_t>(comm.rank()) + 1,
+                                static_cast<std::byte>(comm.rank()));
+    Payload payload = Payload::wrap(std::move(mine));
+    sent[static_cast<std::size_t>(comm.rank())] = payload.data();
+    const std::vector<Payload> all = comm.gather_payload(std::move(payload));
+    if (comm.rank() != 0) {
+      EXPECT_TRUE(all.empty());
+      return;
+    }
+    ASSERT_EQ(static_cast<int>(all.size()), p);
+    for (int r = 0; r < p; ++r) {
+      const Payload& piece = all[static_cast<std::size_t>(r)];
+      ASSERT_EQ(piece.size(), static_cast<std::size_t>(r) + 1);
+      EXPECT_EQ(piece.data(), sent[static_cast<std::size_t>(r)])
+          << "rank " << r << "'s payload was copied";
+      for (std::size_t i = 0; i < piece.size(); ++i)
+        EXPECT_EQ(piece.data()[i], static_cast<std::byte>(r));
+    }
+  });
+}
+
+TEST_P(CommGather, ZeroLengthPayloads) {
+  const int p = GetParam();
+  run(p, [p](Comm& comm) {
+    // Odd ranks send nothing; even ranks send one byte.
+    std::vector<std::byte> mine(comm.rank() % 2 == 0 ? 1 : 0,
+                                std::byte{7});
+    const std::vector<Payload> all =
+        comm.gather_payload(Payload::wrap(std::move(mine)));
+    if (comm.rank() != 0) {
+      EXPECT_TRUE(all.empty());
+      return;
+    }
+    ASSERT_EQ(static_cast<int>(all.size()), p);
+    for (int r = 0; r < p; ++r)
+      EXPECT_EQ(all[static_cast<std::size_t>(r)].size(),
+                r % 2 == 0 ? 1u : 0u);
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(RankCounts, CommGather,
+                         ::testing::Values(1, 3, 4, 16));
+
 TEST(CommAbort, ExceptionInOneRankUnblocksOthers) {
   EXPECT_THROW(
       run(4,

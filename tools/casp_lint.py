@@ -76,10 +76,11 @@ test (see tests/CMakeLists.txt). Rules:
                   guarantee that bench_sparse_exchange gates on.
   rank-divergent-collective
                   In src/, no collective call (barrier, bcast*/ibcast*,
-                  allreduce*, allgather*, alltoall*, reduce_to_root,
-                  split, bcast_wait) lexically inside an `if` whose
-                  condition mentions a rank — a collective only some
-                  ranks enter is the canonical SPMD deadlock (every rank
+                  allreduce*, gather*/allgather*, alltoall*,
+                  reduce_to_root, split, bcast_wait) lexically inside an
+                  `if` whose condition mentions a rank — a collective
+                  only some ranks enter (a root-only gather_payload
+                  included) is the canonical SPMD deadlock (every rank
                   must participate). Intentional sub-communicator use is
                   allowlisted with `// lint: collective-ok` on the same
                   or preceding line. The `else` branch of a rank guard
@@ -228,7 +229,7 @@ TRANSITION_DEF_RE = re.compile(r"\bRankPool::transition\s*\(")
 # helper functions named e.g. `barrier_us` don't trip the rule.
 COLLECTIVE_CALL_RE = re.compile(
     r"[.>]\s*(barrier|bcast_\w+|ibcast_\w+|bcast_wait|allreduce(?:_\w+)?|"
-    r"allgather_\w+|alltoall_\w+|reduce_to_root|split)\s*\("
+    r"(?:all)?gather_\w+|alltoall_\w+|reduce_to_root|split)\s*\("
 )
 # An `if` condition that branches on a rank: the identifier `rank`, any
 # *_rank/rank_* variable, or a .rank()/->rank() accessor.
