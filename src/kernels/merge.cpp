@@ -74,13 +74,14 @@ class MergeTable {
 
 template <typename SR>
 CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
-                      int threads) {
+                      int threads, bool sort_output) {
   CASP_CHECK(!pieces.empty());
   const Index nrows = pieces.front().nrows();
   const Index ncols = pieces.front().ncols();
   for (const CscConstRef& m : pieces)
     CASP_CHECK_MSG(m.nrows() == nrows && m.ncols() == ncols,
                    "merge: shape mismatch");
+  const bool single = pieces.size() == 1;
 
   // Upper bound per output column: total input entries in that column.
   std::vector<Index> ub_ptr(static_cast<std::size_t>(ncols) + 1, 0);
@@ -100,11 +101,13 @@ CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
 #endif
   {
     MergeTable<SR> table;
-    // Per-thread scratch for the sorted-emit (heap) path, reused across all
-    // columns this thread processes instead of reallocated per column.
+    // Per-thread scratch for the sorted-emit (heap) path and the fused
+    // final sort, reused across all columns this thread processes instead
+    // of reallocated per column.
     using HeapItem = std::pair<Index, std::size_t>;  // (row, piece index)
     std::vector<HeapItem> heap;
     std::vector<std::size_t> pos;
+    std::vector<std::pair<Index, Value>> sort_buf;
 #if defined(CASP_HAVE_OPENMP)
 #pragma omp for schedule(dynamic, 32)
 #endif
@@ -115,7 +118,13 @@ CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
       Index* out_rows = rowids.data() + ub_ptr[static_cast<std::size_t>(j)];
       Value* out_vals = vals.data() + ub_ptr[static_cast<std::size_t>(j)];
       Index cnt = 0;
-      if (kind == MergeKind::kUnsortedHash) {
+      if (single) {
+        // Nothing to add: under the header's precondition both kinds
+        // would reproduce the column as it is.
+        std::copy_n(pieces.front().col_rowids(j).begin(), cap, out_rows);
+        std::copy_n(pieces.front().col_vals(j).begin(), cap, out_vals);
+        cnt = cap;
+      } else if (kind == MergeKind::kUnsortedHash) {
         table.require(cap);
         table.reset();
         for (const CscConstRef& m : pieces) {
@@ -154,9 +163,23 @@ CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
           }
         }
       }
+      if (sort_output)
+        sort_column_entries(out_rows, out_vals, static_cast<std::size_t>(cnt),
+                            sort_buf);
       counts[static_cast<std::size_t>(j)] = cnt;
     }
   }
+
+  // No column lost entries (always so for one piece): the upper-bound
+  // arrays are already the result.
+  bool full = true;
+  for (Index j = 0; j < ncols && full; ++j)
+    full = counts[static_cast<std::size_t>(j)] ==
+           ub_ptr[static_cast<std::size_t>(j) + 1] -
+               ub_ptr[static_cast<std::size_t>(j)];
+  if (full)
+    return CscMat(nrows, ncols, std::move(ub_ptr), std::move(rowids),
+                  std::move(vals));
 
   // Compact.
   std::vector<Index> colptr(static_cast<std::size_t>(ncols) + 1, 0);
@@ -179,12 +202,12 @@ CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
 }
 
 template CscMat merge_matrices<PlusTimes>(std::span<const CscConstRef>,
-                                          MergeKind, int);
+                                          MergeKind, int, bool);
 template CscMat merge_matrices<MinPlus>(std::span<const CscConstRef>,
-                                        MergeKind, int);
+                                        MergeKind, int, bool);
 template CscMat merge_matrices<MaxMin>(std::span<const CscConstRef>,
-                                       MergeKind, int);
+                                       MergeKind, int, bool);
 template CscMat merge_matrices<OrAnd>(std::span<const CscConstRef>, MergeKind,
-                                      int);
+                                      int, bool);
 
 }  // namespace casp

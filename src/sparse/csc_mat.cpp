@@ -168,29 +168,35 @@ CscMat CscMat::concat_cols(std::span<const CscMat> mats) {
   return out;
 }
 
+void sort_column_entries(Index* rows, Value* vals, std::size_t n,
+                         std::vector<std::pair<Index, Value>>& scratch) {
+  if (n <= 1) return;
+  bool sorted = true;
+  for (std::size_t k = 1; k < n; ++k) {
+    if (rows[k - 1] > rows[k]) {
+      sorted = false;
+      break;
+    }
+  }
+  if (sorted) return;
+  scratch.clear();
+  scratch.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) scratch.emplace_back(rows[k], vals[k]);
+  std::sort(scratch.begin(), scratch.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (std::size_t k = 0; k < n; ++k) {
+    rows[k] = scratch[k].first;
+    vals[k] = scratch[k].second;
+  }
+}
+
 void CscMat::sort_columns() {
   std::vector<std::pair<Index, Value>> buffer;
   for (Index j = 0; j < ncols_; ++j) {
     const auto lo = static_cast<std::size_t>(colptr_[static_cast<std::size_t>(j)]);
     const auto hi = static_cast<std::size_t>(colptr_[static_cast<std::size_t>(j) + 1]);
-    if (hi - lo <= 1) continue;
-    bool sorted = true;
-    for (std::size_t k = lo + 1; k < hi; ++k) {
-      if (rowids_[k - 1] > rowids_[k]) {
-        sorted = false;
-        break;
-      }
-    }
-    if (sorted) continue;
-    buffer.clear();
-    buffer.reserve(hi - lo);
-    for (std::size_t k = lo; k < hi; ++k) buffer.emplace_back(rowids_[k], vals_[k]);
-    std::sort(buffer.begin(), buffer.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-    for (std::size_t k = lo; k < hi; ++k) {
-      rowids_[k] = buffer[k - lo].first;
-      vals_[k] = buffer[k - lo].second;
-    }
+    sort_column_entries(rowids_.data() + lo, vals_.data() + lo, hi - lo,
+                        buffer);
   }
 }
 

@@ -136,6 +136,14 @@ class CscMat {
   std::vector<Value> vals_;
 };
 
+/// Sort one column's n (row, value) entries ascending by row, in place;
+/// a column that is already ascending is left untouched. `scratch` is a
+/// caller-owned buffer reused across columns. CscMat::sort_columns and the
+/// merge kernel's fused final sort both go through here, so they order
+/// equal rows identically.
+void sort_column_entries(Index* rows, Value* vals, std::size_t n,
+                         std::vector<std::pair<Index, Value>>& scratch);
+
 /// Strictly-lower-triangular part of a square matrix.
 CscMat lower_triangle(const CscMat& a);
 /// Strictly-upper-triangular part of a square matrix.

@@ -1,8 +1,11 @@
 #include "sparse/mm_io.hpp"
 
+#include <charconv>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <system_error>
 
 #include "common/error.hpp"
 
@@ -12,6 +15,26 @@ namespace {
 std::string lower(std::string s) {
   for (char& c : s) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return s;
+}
+
+/// Parse the number that starts at line[pos] after any spaces, tabs or
+/// '\r', accepting a leading '+', and advance pos past it. False when no
+/// number is there. One from_chars per field, where an istringstream per
+/// entry line dominated reading large inputs.
+template <typename T>
+bool parse_field(std::string_view line, std::size_t& pos, T& out) {
+  while (pos < line.size() &&
+         (line[pos] == ' ' || line[pos] == '\t' || line[pos] == '\r'))
+    ++pos;
+  if (pos < line.size() && line[pos] == '+') {
+    ++pos;
+    if (pos < line.size() && line[pos] == '-') return false;
+  }
+  const char* end = line.data() + line.size();
+  const auto [ptr, ec] = std::from_chars(line.data() + pos, end, out);
+  if (ec != std::errc()) return false;
+  pos = static_cast<std::size_t>(ptr - line.data());
+  return true;
 }
 }  // namespace
 
@@ -55,12 +78,12 @@ TripleMat read_matrix_market(std::istream& in) {
   for (Index k = 0; k < nnz; ++k) {
     if (!std::getline(in, line))
       throw InvalidArgument("matrix market: truncated entry list");
-    std::istringstream entry(line);
+    std::size_t pos = 0;
     Index r = 0, c = 0;
     Value v = 1.0;
-    if (!(entry >> r >> c))
+    if (!parse_field(line, pos, r) || !parse_field(line, pos, c))
       throw InvalidArgument("matrix market: bad entry line");
-    if (!pattern && !(entry >> v))
+    if (!pattern && !parse_field(line, pos, v))
       throw InvalidArgument("matrix market: missing value");
     --r;
     --c;

@@ -207,13 +207,20 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a,
                         part_size(my_block, nblocks, psize)};
     const auto emit = [&](CscMat piece) {
       CASP_CHECK(piece.ncols() == info.global_cols.count);
-      if (keep_output) kept_pieces.push_back(piece);
       if (ckpt_on) {
         emitted_meta.push_back(PieceMeta{
             bi, eff_batches, result.rebatch_events, info.global_rows.start,
             info.global_rows.count, info.global_cols.start,
             info.global_cols.count});
         emitted_mats.push_back(piece);
+      }
+      // The callback is the last consumer; without one the kept copy can
+      // take the piece itself.
+      if (keep_output) {
+        if (on_batch)
+          kept_pieces.push_back(piece);
+        else
+          kept_pieces.push_back(std::move(piece));
       }
       if (on_batch) on_batch(std::move(piece), info);
       ++bi;
@@ -355,7 +362,10 @@ BatchedResult batched_summa3d(Grid3D& grid, const DistMat3D& a,
     const Index k = grid.layer();
     result.c.cols = {b.cols.start + part_low(k, l, psize),
                      part_size(k, l, psize)};
-    result.c.local = CscMat::concat_cols(kept_pieces);
+    if (kept_pieces.size() == 1)
+      result.c.local = std::move(kept_pieces.front());
+    else
+      result.c.local = CscMat::concat_cols(kept_pieces);
     CASP_CHECK(result.c.local.ncols() == result.c.cols.count);
     if (opts.memory != nullptr) {
       // The kept output is a deliberate *extra* cost on top of the batched

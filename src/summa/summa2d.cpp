@@ -1,5 +1,6 @@
 #include "summa/summa2d.hpp"
 
+#include <utility>
 #include <vector>
 
 #include "obs/recorder.hpp"
@@ -41,8 +42,12 @@ CscMat summa2d(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
   CscMat merged;
   {
     obs::Span span(rec, steps::kMergeLayer);
-    merged =
-        merge_matrices<SR>(csc_refs(partials), opts.merge_kind, opts.threads);
+    // q = 1: one stage partial has nothing to merge with.
+    if (partials.size() == 1)
+      merged = std::move(partials.front());
+    else
+      merged = merge_matrices<SR>(csc_refs(partials), opts.merge_kind,
+                                  opts.threads);
   }
   return merged;
 }

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "kernels/merge.hpp"
 #include "kernels/reference.hpp"
 #include "kernels/spgemm.hpp"
@@ -60,6 +63,83 @@ TEST_P(MergeBothKinds, MinPlusSemiring) {
   const auto pieces = random_pieces(3, 15, 15, 2.0, 52);
   testing::expect_mat_near(merge_matrices<MinPlus>(csc_refs(pieces), kind),
                            reference_merge<MinPlus>(pieces), 1e-12);
+}
+
+// Each column's entries in reverse order: unsorted columns that still hold
+// every row at most once, like the unsorted-hash kernels' output.
+CscMat reversed_columns(const CscMat& m) {
+  std::vector<Index> rows(m.rowids().begin(), m.rowids().end());
+  std::vector<Value> vals(m.vals().begin(), m.vals().end());
+  for (Index j = 0; j < m.ncols(); ++j) {
+    const auto lo = static_cast<std::ptrdiff_t>(m.colptr()[static_cast<std::size_t>(j)]);
+    const auto hi = static_cast<std::ptrdiff_t>(m.colptr()[static_cast<std::size_t>(j) + 1]);
+    std::reverse(rows.begin() + lo, rows.begin() + hi);
+    std::reverse(vals.begin() + lo, vals.begin() + hi);
+  }
+  return CscMat(m.nrows(), m.ncols(),
+                std::vector<Index>(m.colptr().begin(), m.colptr().end()),
+                std::move(rows), std::move(vals));
+}
+
+bool has_repeated_row(const CscMat& m) {
+  for (Index j = 0; j < m.ncols(); ++j) {
+    std::vector<Index> rows(m.col_rowids(j).begin(), m.col_rowids(j).end());
+    std::sort(rows.begin(), rows.end());
+    if (std::adjacent_find(rows.begin(), rows.end()) != rows.end()) return true;
+  }
+  return false;
+}
+
+std::vector<CscMat> pieces_for(int count, bool sorted, std::uint64_t seed) {
+  std::vector<CscMat> pieces = random_pieces(count, 40, 33, 5.0, seed);
+  if (!sorted)
+    for (CscMat& m : pieces) m = reversed_columns(m);
+  return pieces;
+}
+
+TEST_P(MergeBothKinds, OnePieceMergesToItselfBitForBit) {
+  const MergeKind kind = GetParam();
+  for (const bool sorted : {true, false}) {
+    const auto pieces = pieces_for(1, sorted, 60);
+    ASSERT_EQ(pieces.front().columns_sorted(), sorted);
+    for (const int threads : {1, 4}) {
+      EXPECT_EQ(merge_matrices<PlusTimes>(csc_refs(pieces), kind, threads),
+                pieces.front())
+          << "sorted=" << sorted << " threads=" << threads;
+    }
+  }
+}
+
+template <typename SR>
+void expect_fused_sort_matches_sort_columns(MergeKind kind) {
+  for (const bool sorted : {true, false}) {
+    for (const int count : {1, 2, 4}) {
+      const auto pieces = pieces_for(count, sorted, 61);
+      for (const int threads : {1, 4}) {
+        CscMat expected =
+            merge_matrices<SR>(csc_refs(pieces), kind, threads);
+        if (kind == MergeKind::kSortedHeap && !sorted && count > 1) {
+          // Heap-merging unsorted columns emits a row more than once; the
+          // fused sort must order those ties exactly as sort_columns does.
+          EXPECT_TRUE(has_repeated_row(expected));
+        }
+        expected.sort_columns();
+        const CscMat fused =
+            merge_matrices<SR>(csc_refs(pieces), kind, threads, true);
+        EXPECT_EQ(fused, expected) << "sorted=" << sorted
+                                   << " count=" << count
+                                   << " threads=" << threads;
+      }
+    }
+  }
+}
+
+TEST_P(MergeBothKinds, FusedSortEqualsMergeThenSortColumnsPlusTimes) {
+  expect_fused_sort_matches_sort_columns<PlusTimes>(GetParam());
+}
+
+TEST_P(MergeBothKinds, FusedSortEqualsMergeThenSortColumnsMinPlus) {
+  expect_fused_sort_matches_sort_columns<MinPlus>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, MergeBothKinds,

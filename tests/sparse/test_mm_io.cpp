@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/error.hpp"
 #include "sparse/mm_io.hpp"
@@ -87,6 +88,54 @@ TEST(MatrixMarket, RejectsMalformedInput) {
         "1 1 1.0 0.0\n");  // unsupported field
     EXPECT_THROW(read_matrix_market(in), InvalidArgument);
   }
+}
+
+TEST(MatrixMarket, ReadsTabSeparatedCrlfLines) {
+  std::istringstream in(
+      "%%MatrixMarket matrix coordinate real general\r\n"
+      "3 4 2\r\n"
+      "1\t2\t2.5\r\n"
+      " 3 \t4  -1.0\t\r\n");
+  const TripleMat m = read_matrix_market(in);
+  ASSERT_EQ(m.nnz(), 2);
+  EXPECT_EQ(m.entries()[0], (Triple{0, 1, 2.5}));
+  EXPECT_EQ(m.entries()[1], (Triple{2, 3, -1.0}));
+}
+
+TEST(MatrixMarket, AcceptsExplicitPlusSigns) {
+  std::istringstream in(
+      "%%MatrixMarket matrix coordinate real general\n"
+      "2 2 2\n"
+      "1 1 +1.5e+00\n"
+      "+2 +2 -2.5E-01\n");
+  const TripleMat m = read_matrix_market(in);
+  ASSERT_EQ(m.nnz(), 2);
+  EXPECT_EQ(m.entries()[0], (Triple{0, 0, 1.5}));
+  EXPECT_EQ(m.entries()[1], (Triple{1, 1, -0.25}));
+}
+
+TEST(MatrixMarket, RejectsBadEntryLinesAndMissingValues) {
+  const std::string head =
+      "%%MatrixMarket matrix coordinate real general\n2 2 1\n";
+  for (const char* line : {"1 x 1.0\n", "\n", "1\n", "+-1 1 1.0\n",
+                           "1 1\n", "1 1 \t\r\n", "1 1 abc\n"}) {
+    std::istringstream in(head + line);
+    EXPECT_THROW(read_matrix_market(in), InvalidArgument) << line;
+  }
+}
+
+TEST(MatrixMarket, SeventeenDigitRoundTripIsBitExact) {
+  CscMat m = testing::random_matrix(40, 31, 4.0, 7);
+  // Full-precision mantissas: only a 17-digit write reads back exactly.
+  for (Value& v : m.vals_mutable()) v = v / 3.0 + 1e-7;
+  const TripleMat written = m.to_triples();
+  std::ostringstream out;
+  write_matrix_market(out, written);
+  std::istringstream in(out.str());
+  const TripleMat back = read_matrix_market(in);
+  ASSERT_EQ(back.nnz(), written.nnz());
+  for (std::size_t k = 0; k < written.entries().size(); ++k)
+    EXPECT_EQ(back.entries()[k], written.entries()[k]) << "entry " << k;
 }
 
 TEST(MatrixMarket, FileRoundTrip) {

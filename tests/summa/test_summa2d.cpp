@@ -4,8 +4,11 @@
 // grid and the 2D result is the final result.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "grid/dist.hpp"
 #include "kernels/reference.hpp"
+#include "kernels/spgemm.hpp"
 #include "summa/summa2d.hpp"
 #include "test_util.hpp"
 #include "vmpi/runtime.hpp"
@@ -113,6 +116,29 @@ TEST(Summa2DTiming, RecordsAllStepTimes) {
   const auto summary = result.traffic_summary();
   EXPECT_GT(summary.total_per_phase.at(steps::kABcast).bytes, 0u);
   EXPECT_GT(summary.total_per_phase.at(steps::kBBcast).bytes, 0u);
+}
+
+TEST(Summa2DSingleStage, MergeLayerPassesLocalMultiplyOutputThrough) {
+  // q = 1 (p = 1, or l = p): one stage partial, so Merge-Layer has nothing
+  // to add and hands back the Local-Multiply output bit for bit, still
+  // inside a Merge-Layer span.
+  const Index n = 24;
+  const CscMat a = testing::random_matrix(n, n, 3.0, 13);
+  const CscMat b = testing::random_matrix(n, n, 3.0, 14);
+  for (const int p : {1, 4}) {
+    auto result = vmpi::run(p, [&](vmpi::Comm& world) {
+      Grid3D grid(world, p);
+      ASSERT_EQ(grid.q(), 1);
+      const DistMat3D da = distribute_a_style(grid, a);
+      const DistMat3D db = distribute_b_style(grid, b);
+      const CscMat expected = local_spgemm<PlusTimes>(da.local, db.local);
+      EXPECT_EQ(summa2d<PlusTimes>(grid, da.local, db.local, {}), expected);
+    });
+    const auto names = result.time_names();
+    EXPECT_NE(std::find(names.begin(), names.end(), steps::kMergeLayer),
+              names.end())
+        << "p=" << p;
+  }
 }
 
 }  // namespace

@@ -122,6 +122,15 @@ test (see tests/CMakeLists.txt). Rules:
                   the per-stage consumer and the phase labels. A second
                   hand-written loop can drift from the first in message
                   order, pipelining or phase attribution.
+  summa-final-sort-in-merge
+                  In src/summa/, no `sort_columns(` call (nor any other
+                  code use of the name, so a call split over lines or
+                  taken through a member pointer counts). The paper sorts
+                  the output once, after Merge-Fiber, and that sort lives
+                  inside Merge-Fiber's merge_matrices call (sort_output),
+                  where it runs in the same parallel column loop as the
+                  merge. A separate sort_columns() pass is a second,
+                  serial sweep over all of local C.
 
 Waivers (use sparingly, justify in a comment on the same line):
   // casp-lint: allow(<rule>)        — waives <rule> on this or next line
@@ -176,6 +185,11 @@ STAGE_LOOP_RE = re.compile(
     r"<\s*SparseAExchange\s*>\s*\("
 )
 STAGE_LOOP_OWNERS = ("src/summa/stage_engine.", "src/summa/sparse_comm.")
+
+# A separate final sort pass in the SUMMA layer (it belongs to Merge-Fiber's
+# merge_matrices call). Scanned on comment- and string-stripped lines, so
+# the bare name catches a call whose `(` sits on the next line.
+SUMMA_SORT_RE = re.compile(r"\bsort_columns\b")
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+([<"][^>"]+[>"])')
 
@@ -394,6 +408,8 @@ class Linter:
         if rel.startswith("src/summa/") and not rel.startswith(
                 STAGE_LOOP_OWNERS):
             self.check_summa_single_stage_loop(rel, code_lines, waived)
+        if rel.startswith("src/summa/"):
+            self.check_summa_final_sort_in_merge(rel, code_lines, waived)
         if rel.endswith(".hpp"):
             self.check_pragma_once(rel, code_lines, waived)
         self.check_include_order(rel, raw_lines, waived)
@@ -681,6 +697,16 @@ class Linter:
                     "stage engine — run the stages through "
                     "run_summa_stages (summa/stage_engine.hpp) and pass "
                     "only the per-stage consumer")
+
+    def check_summa_final_sort_in_merge(self, rel, code_lines, waived):
+        for idx, line in enumerate(code_lines):
+            if SUMMA_SORT_RE.search(line) and not waived(
+                    "summa-final-sort-in-merge", idx):
+                self.error(
+                    rel, idx + 1, "summa-final-sort-in-merge",
+                    "sort_columns() pass in the SUMMA layer — the single "
+                    "final sort runs inside Merge-Fiber's merge_matrices "
+                    "call (sort_output = opts.sort_final)")
 
     def check_pragma_once(self, rel, code_lines, waived):
         for idx, line in enumerate(code_lines):
