@@ -91,6 +91,102 @@ DistMat3D distribute_b_style(const Grid3D& grid, const CscMat& global) {
 
 namespace {
 
+/// Position -> original inner index k of the layer-balanced order.
+std::vector<Index> balanced_inner_order(const CscMat& a, const CscMat& b,
+                                        Index q, Index l) {
+  const Index n = a.ncols();
+  const auto nu = static_cast<std::size_t>(n);
+  std::vector<Index> b_row_nnz(nu, 0);
+  for (const Index r : b.rowids()) ++b_row_nnz[static_cast<std::size_t>(r)];
+  std::vector<Index> weight(nu);
+  for (Index k = 0; k < n; ++k)
+    weight[static_cast<std::size_t>(k)] =
+        a.col_nnz(k) * b_row_nnz[static_cast<std::size_t>(k)];
+  std::vector<Index> heaviest(nu);
+  std::iota(heaviest.begin(), heaviest.end(), Index{0});
+  std::stable_sort(heaviest.begin(), heaviest.end(), [&](Index x, Index y) {
+    return weight[static_cast<std::size_t>(x)] >
+           weight[static_cast<std::size_t>(y)];
+  });
+
+  // A layer's slots: its slice of each of the q column parts.
+  const auto lu = static_cast<std::size_t>(l);
+  std::vector<Index> free_slots(lu, 0);
+  for (Index j = 0; j < q; ++j)
+    for (Index t = 0; t < l; ++t)
+      free_slots[static_cast<std::size_t>(t)] +=
+          part_size(t, l, part_size(j, q, n));
+  std::vector<Index> load(lu, 0);
+  std::vector<Index> layer_of(nu);
+  for (const Index k : heaviest) {
+    std::size_t best = lu;
+    for (std::size_t t = 0; t < lu; ++t)
+      if (free_slots[t] > 0 && (best == lu || load[t] < load[best])) best = t;
+    layer_of[static_cast<std::size_t>(k)] = static_cast<Index>(best);
+    load[best] += weight[static_cast<std::size_t>(k)];
+    --free_slots[best];
+  }
+
+  // Each layer's ks, ascending, fill its slices part by part.
+  std::vector<std::vector<Index>> members(lu);
+  for (Index k = 0; k < n; ++k)
+    members[static_cast<std::size_t>(layer_of[static_cast<std::size_t>(k)])]
+        .push_back(k);
+  std::vector<Index> order(nu);
+  for (Index t = 0; t < l; ++t) {
+    const std::vector<Index>& mine = members[static_cast<std::size_t>(t)];
+    std::size_t next = 0;
+    for (Index j = 0; j < q; ++j) {
+      const Index part = part_size(j, q, n);
+      const Index lo = part_low(j, q, n) + part_low(t, l, part);
+      for (Index c = 0; c < part_size(t, l, part); ++c)
+        order[static_cast<std::size_t>(lo + c)] = mine[next++];
+    }
+  }
+  return order;
+}
+
+/// Column pos of the result is column order[pos] of m.
+CscMat gather_columns(const CscMat& m, const std::vector<Index>& order) {
+  std::vector<Index> colptr(order.size() + 1, 0);
+  for (std::size_t pos = 0; pos < order.size(); ++pos)
+    colptr[pos + 1] = colptr[pos] + m.col_nnz(order[pos]);
+  std::vector<Index> rowids;
+  std::vector<Value> vals;
+  rowids.reserve(static_cast<std::size_t>(m.nnz()));
+  vals.reserve(static_cast<std::size_t>(m.nnz()));
+  for (const Index k : order) {
+    const auto rows = m.col_rowids(k);
+    const auto values = m.col_vals(k);
+    rowids.insert(rowids.end(), rows.begin(), rows.end());
+    vals.insert(vals.end(), values.begin(), values.end());
+  }
+  return CscMat(m.nrows(), static_cast<Index>(order.size()),
+                std::move(colptr), std::move(rowids), std::move(vals));
+}
+
+}  // namespace
+
+std::pair<CscMat, CscMat> balance_inner_layers(CscMat a, CscMat b, int ranks,
+                                               int layers) {
+  CASP_CHECK_MSG(Grid3D::valid_shape(ranks, layers),
+                 "balance_inner_layers: " << ranks << " ranks x " << layers
+                                          << " layers is not a grid");
+  CASP_CHECK_MSG(a.ncols() == b.nrows(),
+                 "balance_inner_layers: inner dimensions " << a.ncols()
+                     << " and " << b.nrows() << " differ");
+  if (layers == 1) return {std::move(a), std::move(b)};
+  const std::vector<Index> order =
+      balanced_inner_order(a, b, exact_isqrt(ranks / layers), layers);
+
+  // A·Q gathers A's columns in the new order; Qᵀ·B = (Bᵀ·Q)ᵀ, whose
+  // transposes leave every column sorted.
+  return {gather_columns(a, order),
+          gather_columns(b.transpose(), order).transpose()};
+}
+
+namespace {
+
 /// One rank's block as the assembly reads it: its global origin and a
 /// read-only view of the local CSC arrays (in place for the caller's own
 /// block, inside the received payload for every other block).

@@ -59,6 +59,20 @@ CscMat extract_block(const CscMat& m, Index r0, Index r1, Index c0, Index c1);
 DistMat3D distribute_a_style(const Grid3D& grid, const CscMat& global);
 DistMat3D distribute_b_style(const Grid3D& grid, const CscMat& global);
 
+/// Layer-balanced inner index (DESIGN.md § 5m). Returns (A·Q, Qᵀ·B) for a
+/// permutation Q of the inner index k, so the product is exactly A·B with
+/// C's layout unchanged, while every layer of a `ranks` x `layers` grid
+/// gets an equal share of the multiply. The weight of k is
+/// nnz(A(:,k)) * nnz(B(k,:)); in descending weight (ties by index) each k
+/// goes to the least-loaded layer that still has a free slot (ties to the
+/// lowest layer), a layer's slots being its A-style column / B-style row
+/// slices. Inside a layer the ks keep their original order, so shapes and
+/// DistMat3D ranges are those of A and B. Deterministic; O(nnz) apart from
+/// an O(n log n) sort of the weights. At layers == 1 every split already
+/// spans all layers, and A and B come back untouched.
+std::pair<CscMat, CscMat> balance_inner_layers(CscMat a, CscMat b, int ranks,
+                                               int layers);
+
 // Reassembly. Each rank ships its packed CSC block with the block's global
 // origin (packed_block_size bytes); the receiver reads its own block in
 // place and assembles the global matrix in O(nnz + ncols) with no triple

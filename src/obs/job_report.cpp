@@ -12,6 +12,8 @@ Json admission_json(const JobAdmission& a) {
   j.set("max_nnz_a", static_cast<std::int64_t>(a.max_nnz_a));
   j.set("max_nnz_b", static_cast<std::int64_t>(a.max_nnz_b));
   j.set("max_nnz_c", static_cast<std::int64_t>(a.max_nnz_c));
+  j.set("total_unmerged_nnz",
+        static_cast<std::int64_t>(a.total_unmerged_nnz));
   j.set("per_process_share", a.per_process_share);
   j.set("input_bytes", a.input_bytes);
   j.set("reserved_bytes", a.reserved_bytes);

@@ -1,7 +1,9 @@
 // JobReport: the per-job billing / SLO record of the multi-tenant service.
 //
 // One document per submitted job ("casp.job_report.v1"): who submitted it,
-// what the admission controller decided from the Eq. (2) symbolic estimate,
+// what the admission controller decided from the Eq. (2) symbolic estimate
+// (the batch count and its per-process maxima, plus total_unmerged_nnz so
+// max_nnz_c * p / total_unmerged_nnz reads the job's per-rank skew),
 // how the job ended, and what traffic the tenant is billed for — the
 // logical (Table II) and shipped byte totals of the executed run, folded
 // from the same per-rank TrafficStats ledgers the RunReport views. Executed
@@ -30,6 +32,9 @@ struct JobAdmission {
   Index max_nnz_a = 0;     ///< max over processes, symbolic pass
   Index max_nnz_b = 0;
   Index max_nnz_c = 0;     ///< max per-process unmerged output nnz
+  /// Unmerged output nnz summed over processes, same symbolic pass, so
+  /// max_nnz_c * p / total_unmerged_nnz is the job's per-rank skew.
+  Index total_unmerged_nnz = 0;
   Bytes per_process_share = 0;  ///< M/p for the job's declared budget
   Bytes input_bytes = 0;        ///< r * (maxnnzA + maxnnzB)
   Bytes reserved_bytes = 0;     ///< what the tenant's memory quota was charged

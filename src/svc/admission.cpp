@@ -36,6 +36,7 @@ AdmissionEstimate estimate_admission(const JobSpec& spec, const CscMat& a,
   adm.max_nnz_a = sym.max_nnz_a;
   adm.max_nnz_b = sym.max_nnz_b;
   adm.max_nnz_c = sym.max_nnz_c;
+  adm.total_unmerged_nnz = sym.total_unmerged_nnz;
 
   const Bytes r = kBytesPerNonzero;
   adm.input_bytes =

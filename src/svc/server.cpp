@@ -4,6 +4,7 @@
 #include <chrono>
 #include <sstream>
 #include <thread>
+#include <tuple>
 #include <utility>
 
 #include "apps/triangle.hpp"
@@ -100,6 +101,12 @@ std::string Server::submit(JobSpec spec) {
         rec.in_b = rec.in_a;
       else
         rec.in_b = rec.spec.b.materialize();
+      // Relabel the inner index once so every layer gets an equal share of
+      // the multiply (DESIGN.md § 5m): admission, every attempt, restarts
+      // and shrink/regrow re-admission all see these operands.
+      std::tie(rec.in_a, rec.in_b) =
+          balance_inner_layers(std::move(rec.in_a), std::move(rec.in_b),
+                               rec.spec.ranks, rec.spec.layers);
       break;
     case JobOp::kMcl:
     case JobOp::kTriangleCount:

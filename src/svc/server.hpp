@@ -92,8 +92,11 @@ struct JobRecord {
   Bytes reserved_bytes = 0;
   bool holds_reservation = false;
 
-  /// Operands materialized at submit (admission needs them; execution
-  /// reuses them so the estimate and the run see identical inputs).
+  /// The operands the grid runs on, fixed at submit: for kSpGemm, the
+  /// user's A and B with the inner index relabeled for layer balance
+  /// (balance_inner_layers, grid/dist.hpp; untouched at layers == 1), so
+  /// their product is the user's A·B. Admission and every attempt reuse
+  /// them, so the estimate and the run see identical inputs.
   CscMat in_a;
   CscMat in_b;
 

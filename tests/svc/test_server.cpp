@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 #include "common/error.hpp"
@@ -244,6 +245,64 @@ TEST(Server, SpGemmResultIsGatheredToRankZeroOnly) {
   }
 }
 
+/// R-MAT A² at p=4, l=4: one layer per rank, so the layer split of the
+/// inner index is the whole per-rank work split.
+JobSpec layered_rmat(std::string tenant, int scale, std::uint64_t seed) {
+  JobSpec s;
+  s.tenant = std::move(tenant);
+  s.op = JobOp::kSpGemm;
+  s.a = MatrixSource::rmat_graph(scale, 8.0, seed);
+  s.ranks = 4;
+  s.layers = 4;
+  return s;
+}
+
+// The inner index is relabeled at submit, so the four layers share the
+// multiply: the most loaded rank's unmerged output sits near the mean
+// (the raw order gives it about 2.4x the mean), and rec.c is still the
+// user's A² bit for bit.
+TEST(Server, LayeredJobBalancesItsLayersAndKeepsTheProduct) {
+  Server server(ServerOptions{});
+  JobSpec spec = layered_rmat("alice", 10, 9001);
+  // Unit values keep every partial sum an exact integer.
+  spec.a.rmat.random_values = false;
+  const CscMat a = spec.a.materialize();
+  const JobRecord& job = server.wait(server.submit(spec));
+  ASSERT_EQ(job.state, JobState::kDone) << job.reason;
+  const obs::JobAdmission& adm = job.admission;
+  ASSERT_GT(adm.total_unmerged_nnz, 0);
+  EXPECT_LE(4.0 * static_cast<double>(adm.max_nnz_c),
+            1.25 * static_cast<double>(adm.total_unmerged_nnz));
+  const obs::JobAdmission raw = estimate_admission(spec, a, a).admission;
+  EXPECT_GT(4.0 * static_cast<double>(raw.max_nnz_c),
+            2.0 * static_cast<double>(raw.total_unmerged_nnz));
+  testing::expect_mat_identical(job.c, reference_multiply<PlusTimes>(a, a));
+}
+
+TEST(Server, LayeredJobMatchesTheReferenceForEveryKernel) {
+  for (const std::string kernel : {"hash", "hybrid"}) {
+    for (const bool sort_final : {true, false}) {
+      for (const bool aat : {false, true}) {
+        SCOPED_TRACE(kernel + " sort_final=" + std::to_string(sort_final) +
+                     " aat=" + std::to_string(aat));
+        Server server(ServerOptions{});
+        JobSpec spec = layered_rmat("alice", 8, 5);
+        spec.a.rmat.random_values = false;
+        spec.kernel = kernel;
+        spec.sort_final = sort_final;
+        spec.aat = aat;
+        spec.force_batches = 2;
+        const CscMat a = spec.a.materialize();
+        const JobRecord& job = server.wait(server.submit(spec));
+        ASSERT_EQ(job.state, JobState::kDone) << job.reason;
+        testing::expect_mat_identical(
+            job.c,
+            reference_multiply<PlusTimes>(a, aat ? a.transpose() : a));
+      }
+    }
+  }
+}
+
 TEST(Server, StructuralErrorsThrowInsteadOfRecording) {
   Server server(ServerOptions{});
   JobSpec too_wide = small_spgemm("alice");
@@ -279,6 +338,37 @@ TEST(FaultSvc, SupervisedCrashRecoversOnTheResidentPool) {
   // The pool is not poisoned: a clean tenant's job runs right after.
   const std::string clean = server.submit(small_spgemm("clean"));
   EXPECT_EQ(server.wait(clean).state, JobState::kDone);
+}
+
+// At l = 4 a crashed attempt resumes from its checkpoints and computes the
+// remaining batches on the same relabeled operands: with random values
+// (where summation order shows in the bits) the product equals a
+// fault-free run of the same job.
+TEST(FaultSvc, LayeredCrashResumesOnTheSameRelabeledOperands) {
+  JobSpec spec = layered_rmat("chaos", 9, 2);
+  spec.force_batches = 4;
+  Server reference(ServerOptions{});
+  const JobRecord& clean = reference.wait(reference.submit(spec));
+  ASSERT_EQ(clean.state, JobState::kDone) << clean.reason;
+
+  const std::string dir = ::testing::TempDir() + "/casp_server_layered_s" +
+                          std::to_string(fault_seed());
+  std::filesystem::remove_all(dir);
+  spec.ckpt_dir = dir;
+  spec.max_restarts = 2;
+  spec.fault_spec = "seed=" + std::to_string(fault_seed()) + ";crash_rank=" +
+                    std::to_string(1 + fault_seed() % 3) + ";crash_op=20";
+  Server server(ServerOptions{});
+  const JobRecord& job = server.wait(server.submit(spec));
+  ASSERT_EQ(job.state, JobState::kDone) << job.reason;
+  EXPECT_EQ(job.report.billing.restarts, 1u);
+  ASSERT_TRUE(job.report.run.has_value());
+  ASSERT_TRUE(job.report.run->recovery.has_value());
+  // Some batches came from the checkpoints, the rest were computed fresh.
+  EXPECT_GE(job.report.run->recovery->resumed_generation, 0);
+  EXPECT_LT(job.report.run->recovery->resumed_generation, 3);
+  testing::expect_mat_identical(job.c, clean.c);
+  std::filesystem::remove_all(dir);
 }
 
 // A crash-loop tenant: two independent fault kinds, restart budget of one.

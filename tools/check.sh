@@ -32,10 +32,14 @@
 #                          double-drain determinism byte-compare; then the
 #                          --churn membership storm (auto-rejoin, regrow,
 #                          flapper quarantine) swept over seeds 1-3
+#   (k) bench self-test    bench_e2e/selftest.py: builds the end-to-end
+#                          service benchmark and runs every workload tiny
+#                          on the development and held-out seeds — metric
+#                          names/units and output verification must hold
 #
 # Usage: tools/check.sh [--skip-tsan] [--skip-asan] [--skip-perf]
 #                       [--skip-faults] [--skip-recovery] [--skip-sched]
-#                       [--skip-serve] [--skip-chaos]
+#                       [--skip-serve] [--skip-chaos] [--skip-bench-selftest]
 # CASP_PERF_THRESHOLD tunes stage (e)'s allowed slowdown (default 0.25).
 set -euo pipefail
 
@@ -49,6 +53,7 @@ SKIP_RECOVERY=0
 SKIP_SCHED=0
 SKIP_SERVE=0
 SKIP_CHAOS=0
+SKIP_BENCH_SELFTEST=0
 for arg in "$@"; do
   case "$arg" in
     --skip-tsan) SKIP_TSAN=1 ;;
@@ -59,7 +64,8 @@ for arg in "$@"; do
     --skip-sched) SKIP_SCHED=1 ;;
     --skip-serve) SKIP_SERVE=1 ;;
     --skip-chaos) SKIP_CHAOS=1 ;;
-    *) echo "usage: tools/check.sh [--skip-tsan] [--skip-asan] [--skip-perf] [--skip-faults] [--skip-recovery] [--skip-sched] [--skip-serve] [--skip-chaos]" >&2; exit 2 ;;
+    --skip-bench-selftest) SKIP_BENCH_SELFTEST=1 ;;
+    *) echo "usage: tools/check.sh [--skip-tsan] [--skip-asan] [--skip-perf] [--skip-faults] [--skip-recovery] [--skip-sched] [--skip-serve] [--skip-chaos] [--skip-bench-selftest]" >&2; exit 2 ;;
   esac
 done
 
@@ -317,6 +323,16 @@ else
     ./build/release/tools/casp_chaos --jobs 24 --tenants 3 --churn \
       --seed "$seed" --ckpt-root "$CHAOS_DIR/churn$seed"
   done
+fi
+
+if [ "$SKIP_BENCH_SELFTEST" = 1 ]; then
+  echo "skipping bench self-test stage (--skip-bench-selftest)"
+else
+  step "(k) bench self-test: bench_e2e/selftest.py"
+  # The gated end-to-end benchmark builds its own copy of src/ (into
+  # $CARGO_TARGET_DIR/bench_e2e or .bench_build/bench_e2e); no other stage
+  # compiles it or checks that it still verifies every job's output.
+  python3 bench_e2e/selftest.py
 fi
 
 step "all gates passed"
