@@ -16,8 +16,11 @@
 namespace casp {
 namespace {
 
+// `p` is an Index, not an int, so the struct has no padding: gtest names
+// each case by printing the raw bytes of its parameter, and uninitialised
+// padding would give the cases different names from one run to the next.
 struct Summa2DCase {
-  int p;
+  Index p;
   Index n;
   double density;
   SpGemmKind local_kind;
@@ -32,7 +35,7 @@ TEST_P(Summa2DCorrectness, MatchesSerialReference) {
   const CscMat b = testing::random_matrix(param.n, param.n, param.density, 8);
   const CscMat expected = reference_multiply<PlusTimes>(a, b);
 
-  vmpi::run(param.p, [&](vmpi::Comm& world) {
+  vmpi::run(static_cast<int>(param.p), [&](vmpi::Comm& world) {
     Grid3D grid(world, /*layers=*/1);
     const DistMat3D da = distribute_a_style(grid, a);
     const DistMat3D db = distribute_b_style(grid, b);

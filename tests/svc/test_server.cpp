@@ -344,6 +344,15 @@ TEST(FaultSvc, SupervisedCrashRecoversOnTheResidentPool) {
 // remaining batches on the same relabeled operands: with random values
 // (where summation order shows in the bits) the product equals a
 // fault-free run of the same job.
+//
+// The crash lands on the crashing rank's first vmpi op of batch 2 (of 4).
+// A crash is not a barrier, so peers may stand a batch apart; at that op
+// every peer has sent its batch-1 pieces to the crashing rank (so has
+// saved batch 0), and none can finish batch 2 (the crashing rank sent it
+// nothing). The resume is therefore certain whatever the thread timing:
+// a crash inside batch 1 resumes only when every peer happens to have
+// saved batch 0 already. Ranks 1 and 3 run 6 ops before the batch loop,
+// rank 2 runs 10, and each batch costs 6 (three sends, three receives).
 TEST(FaultSvc, LayeredCrashResumesOnTheSameRelabeledOperands) {
   JobSpec spec = layered_rmat("chaos", 9, 2);
   spec.force_batches = 4;
@@ -356,8 +365,11 @@ TEST(FaultSvc, LayeredCrashResumesOnTheSameRelabeledOperands) {
   std::filesystem::remove_all(dir);
   spec.ckpt_dir = dir;
   spec.max_restarts = 2;
-  spec.fault_spec = "seed=" + std::to_string(fault_seed()) + ";crash_rank=" +
-                    std::to_string(1 + fault_seed() % 3) + ";crash_op=20";
+  const std::uint64_t crash_rank = 1 + fault_seed() % 3;
+  const std::uint64_t crash_op = (crash_rank == 2 ? 10 : 6) + 2 * 6 + 1;
+  spec.fault_spec = "seed=" + std::to_string(fault_seed()) +
+                    ";crash_rank=" + std::to_string(crash_rank) +
+                    ";crash_op=" + std::to_string(crash_op);
   Server server(ServerOptions{});
   const JobRecord& job = server.wait(server.submit(spec));
   ASSERT_EQ(job.state, JobState::kDone) << job.reason;
