@@ -10,6 +10,7 @@
 #include <string>
 
 #include "bench_util.hpp"
+#include "common/math.hpp"
 #include "common/payload.hpp"
 #include "common/rng.hpp"
 #include "gen/er.hpp"
@@ -103,6 +104,60 @@ BENCHMARK(BM_Merge)
     ->ArgsProduct({{static_cast<long>(MergeKind::kUnsortedHash),
                     static_cast<long>(MergeKind::kSortedHeap)},
                    {2, 4, 16}})
+    ->Unit(benchmark::kMillisecond);
+
+// Merge-Fiber's call: the pieces of an R-MAT A^2 whose inner index is split
+// `ways` ways, piece m = A(:, K_m) * A(K_m, :) from the unsorted-hash
+// kernel, merged with the final sort fused in (sort_output). The block's
+// 4096 rows fit the dense row accumulator, so columns come out sorted from
+// a bitmap scan.
+std::vector<CscMat> rmat_fiber_pieces(int ways) {
+  const CscMat a = bench_matrix(2);
+  std::vector<CscMat> pieces;
+  for (int m = 0; m < ways; ++m) {
+    const Index k0 = part_low(m, ways, a.ncols());
+    const Index k1 = part_low(m + 1, ways, a.ncols());
+    pieces.push_back(local_spgemm<PlusTimes>(
+        a.slice_cols(k0, k1), a.slice_rows(k0, k1), SpGemmKind::kUnsortedHash));
+  }
+  return pieces;
+}
+
+// Pieces too tall for the dense row accumulator's size rule (2^20 rows,
+// 16 entries per column): the hash table + sort fallback.
+std::vector<CscMat> wide_row_pieces(int ways) {
+  std::vector<CscMat> pieces;
+  for (int s = 0; s < ways; ++s) {
+    ErParams p;
+    p.nrows = Index{1} << 20;
+    p.ncols = 4096;
+    p.nnz_per_col = 16.0;
+    p.seed = 200 + static_cast<std::uint64_t>(s);
+    pieces.push_back(generate_er(p));
+  }
+  return pieces;
+}
+
+void BM_MergeSorted(benchmark::State& state) {
+  const int ways = static_cast<int>(state.range(0));
+  const bool wide = state.range(1) == 1;
+  const std::vector<CscMat> pieces =
+      wide ? wide_row_pieces(ways) : rmat_fiber_pieces(ways);
+  Index volume = 0;
+  for (const CscMat& m : pieces) volume += m.nnz();
+  for (auto _ : state) {
+    CscMat merged = merge_matrices<PlusTimes>(
+        csc_refs(pieces), MergeKind::kUnsortedHash, 1, /*sort_output=*/true);
+    benchmark::DoNotOptimize(merged.nnz());
+  }
+  state.SetItemsProcessed(state.iterations() * volume);
+  state.SetLabel(std::string(wide ? "wide-row hash fallback" : "rmat fiber") +
+                 " " + std::to_string(ways) + "-way, sorted");
+}
+BENCHMARK(BM_MergeSorted)
+    ->Args({2, 0})
+    ->Args({4, 0})
+    ->Args({4, 1})
     ->Unit(benchmark::kMillisecond);
 
 void BM_FinalColumnSort(benchmark::State& state) {

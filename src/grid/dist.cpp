@@ -361,4 +361,15 @@ CscMat gather_dist_root(Grid3D& grid, const DistMat3D& dist) {
   return assemble_gathered(world, dist, handles);
 }
 
+CscMat gather_dist_root(Grid3D& grid, DistMat3D&& dist) {
+  // One rank: its block is the whole matrix. A block whose columns are
+  // already canonical (strictly increasing rows) is the result as it is.
+  if (grid.world().size() == 1 && dist.local.columns_sorted()) {
+    CASP_CHECK(dist.local.nrows() == dist.global_rows &&
+               dist.local.ncols() == dist.global_cols);
+    return std::move(dist.local);
+  }
+  return gather_dist_root(grid, std::as_const(dist));
+}
+
 }  // namespace casp

@@ -97,6 +97,11 @@ CscMat gather_dist(Grid3D& grid, const DistMat3D& dist);
 /// instead of p copies. Every other rank returns an empty CscMat.
 CscMat gather_dist_root(Grid3D& grid, const DistMat3D& dist);
 
+/// As above, consuming `dist`: with one rank whose block has canonical
+/// columns (sort_final on), that block is moved into the result instead of
+/// assembled into a copy. Otherwise it is the gather above.
+CscMat gather_dist_root(Grid3D& grid, DistMat3D&& dist);
+
 /// Bytes one rank ships in either gather: its packed CSC block plus the
 /// block's (row, col) origin.
 Bytes packed_block_size(const DistMat3D& dist);

@@ -1,12 +1,12 @@
 #include "kernels/merge.hpp"
 
 #include <algorithm>
-#include <numeric>
-#include <queue>
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
+#include "kernels/dense_accumulator.hpp"
 
 namespace casp {
 
@@ -70,7 +70,33 @@ class MergeTable {
   std::uint64_t mask_ = 0;
 };
 
+using SortScratch = std::vector<std::pair<Index, Value>>;
+
+/// Sorts one column in place into sort_column_entries' order: through the
+/// dense accumulator when there is one and no row repeats, else through
+/// sort_column_entries itself.
+void sort_column(DenseRowAccumulator* dense, Index* rows, Value* vals,
+                 std::size_t n, SortScratch& scratch) {
+  if (std::is_sorted(rows, rows + n)) return;
+  if (dense != nullptr) {
+    std::size_t k = 0;
+    while (k < n && dense->insert(rows[k], vals[k])) ++k;
+    if (k == n) {
+      dense->emit_sorted(rows, vals);
+      return;
+    }
+    dense->clear();
+  }
+  sort_column_entries(rows, vals, n, scratch);
+}
+
 }  // namespace
+
+bool merge_uses_dense_rows(Index nrows, Index input_entries, int threads) {
+  return static_cast<std::uint64_t>(std::max(1, threads)) *
+             static_cast<std::uint64_t>(nrows) <=
+         static_cast<std::uint64_t>(input_entries);
+}
 
 template <typename SR>
 CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
@@ -93,6 +119,8 @@ CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
   std::vector<Index> rowids(static_cast<std::size_t>(ub_ptr.back()));
   std::vector<Value> vals(rowids.size());
   std::vector<Index> counts(static_cast<std::size_t>(ncols), 0);
+  const bool dense = kind == MergeKind::kUnsortedHash &&
+                     merge_uses_dense_rows(nrows, ub_ptr.back(), threads);
 
 #if defined(CASP_HAVE_OPENMP)
 #pragma omp parallel num_threads(std::max(1, threads))
@@ -101,13 +129,15 @@ CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
 #endif
   {
     MergeTable<SR> table;
+    std::optional<DenseRowAccumulator> rows_acc;
+    if (dense) rows_acc.emplace(nrows);
     // Per-thread scratch for the sorted-emit (heap) path and the fused
     // final sort, reused across all columns this thread processes instead
     // of reallocated per column.
     using HeapItem = std::pair<Index, std::size_t>;  // (row, piece index)
     std::vector<HeapItem> heap;
     std::vector<std::size_t> pos;
-    std::vector<std::pair<Index, Value>> sort_buf;
+    SortScratch sort_buf;
 #if defined(CASP_HAVE_OPENMP)
 #pragma omp for schedule(dynamic, 32)
 #endif
@@ -124,6 +154,21 @@ CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
         std::copy_n(pieces.front().col_rowids(j).begin(), cap, out_rows);
         std::copy_n(pieces.front().col_vals(j).begin(), cap, out_vals);
         cnt = cap;
+        if (sort_output)
+          sort_column(dense ? &*rows_acc : nullptr, out_rows, out_vals,
+                      static_cast<std::size_t>(cnt), sort_buf);
+      } else if (dense) {
+        for (const CscConstRef& m : pieces) {
+          const auto rows = m.col_rowids(j);
+          const auto mv = m.col_vals(j);
+          for (std::size_t k = 0; k < rows.size(); ++k)
+            rows_acc->accumulate<SR>(rows[k], mv[k]);
+        }
+        cnt = rows_acc->size();
+        if (sort_output)
+          rows_acc->emit_sorted(out_rows, out_vals);
+        else
+          rows_acc->emit_unsorted(out_rows, out_vals);
       } else if (kind == MergeKind::kUnsortedHash) {
         table.require(cap);
         table.reset();
@@ -135,6 +180,9 @@ CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
         }
         cnt = table.size();
         table.emit(out_rows, out_vals);
+        if (sort_output)
+          sort_column_entries(out_rows, out_vals,
+                              static_cast<std::size_t>(cnt), sort_buf);
       } else {
         // k-way heap merge over sorted input columns (min-heap maintained
         // manually on the hoisted vector).
@@ -162,10 +210,10 @@ CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
             std::push_heap(heap.begin(), heap.end(), std::greater<>{});
           }
         }
+        if (sort_output)
+          sort_column_entries(out_rows, out_vals,
+                              static_cast<std::size_t>(cnt), sort_buf);
       }
-      if (sort_output)
-        sort_column_entries(out_rows, out_vals, static_cast<std::size_t>(cnt),
-                            sort_buf);
       counts[static_cast<std::size_t>(j)] = cnt;
     }
   }
@@ -199,6 +247,34 @@ CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
   }
   return CscMat(nrows, ncols, std::move(colptr), std::move(out_rowids),
                 std::move(out_vals));
+}
+
+void sort_columns_in_place(CscMat& m, int threads) {
+  const std::span<const Index> colptr = m.colptr();
+  const std::span<Index> rowids = m.rowids_mutable();
+  const std::span<Value> vals = m.vals_mutable();
+  const bool dense = merge_uses_dense_rows(m.nrows(), m.nnz(), threads);
+  const Index ncols = m.ncols();
+#if defined(CASP_HAVE_OPENMP)
+#pragma omp parallel num_threads(std::max(1, threads))
+#else
+  (void)threads;
+#endif
+  {
+    std::optional<DenseRowAccumulator> rows_acc;
+    if (dense) rows_acc.emplace(m.nrows());
+    SortScratch sort_buf;
+#if defined(CASP_HAVE_OPENMP)
+#pragma omp for schedule(dynamic, 32)
+#endif
+    for (Index j = 0; j < ncols; ++j) {
+      const auto lo = static_cast<std::size_t>(colptr[static_cast<std::size_t>(j)]);
+      const auto hi =
+          static_cast<std::size_t>(colptr[static_cast<std::size_t>(j) + 1]);
+      sort_column(dense ? &*rows_acc : nullptr, rowids.data() + lo,
+                  vals.data() + lo, hi - lo, sort_buf);
+    }
+  }
 }
 
 template CscMat merge_matrices<PlusTimes>(std::span<const CscConstRef>,

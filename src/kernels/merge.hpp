@@ -5,6 +5,8 @@
 // with an *unsorted hash merge* that is an order of magnitude faster
 // (Table VII) because it neither requires nor produces sorted columns; the
 // single final sort happens once, inside Merge-Fiber's merge (sort_output).
+// When the block's rows fit a dense accumulator, that merge emits each
+// column already in row order, so the final sort is no comparison sort.
 #pragma once
 
 #include <span>
@@ -25,9 +27,17 @@ const char* to_string(MergeKind kind);
 /// Merge matrices of identical shape by summing duplicates (over SR::add).
 /// kSortedHeap requires every input to have sorted columns.
 /// `threads`: OpenMP threads over output columns.
-/// `sort_output`: sort each output column inside the same parallel column
-/// loop (same order as a later CscMat::sort_columns(), ties included), so
-/// the paper's single final sort costs no second pass over the output.
+/// `sort_output`: emit each output column in row order inside the same
+/// parallel column loop (same order as a later CscMat::sort_columns(), ties
+/// included), so the paper's single final sort costs no second pass over
+/// the output.
+///
+/// kUnsortedHash accumulates through a per-thread dense row accumulator
+/// (kernels/dense_accumulator.hpp) when merge_uses_dense_rows says so, and
+/// through a hash table otherwise. The dense path emits sorted columns by scanning its bitmap
+/// and unsorted ones in first-touch order, the hash table's order; both
+/// paths sum each row in the same order, so the output is the same bit for
+/// bit whichever one runs.
 ///
 /// Each output entry is written once: a single piece is copied column by
 /// column with no hash table or heap, and when no column lost entries to
@@ -45,5 +55,17 @@ template <typename SR = PlusTimes>
 CscMat merge_matrices(std::span<const CscConstRef> pieces,
                       MergeKind kind = MergeKind::kUnsortedHash,
                       int threads = 1, bool sort_output = false);
+
+/// The size rule for the dense row accumulator: a value per row per
+/// thread, so it is used only when the `threads` accumulators together hold
+/// no more slots than the merge has input entries. Taller, sparser blocks
+/// keep the hash table.
+bool merge_uses_dense_rows(Index nrows, Index input_entries, int threads);
+
+/// Sorts every column of `m` in place into CscMat::sort_columns()' order,
+/// over `threads` OpenMP threads: what merge_matrices does to one piece
+/// with sort_output, without copying it. Columns whose rows are distinct go
+/// through a dense row accumulator when one fits (the same size rule).
+void sort_columns_in_place(CscMat& m, int threads = 1);
 
 }  // namespace casp

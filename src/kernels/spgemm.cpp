@@ -1,13 +1,14 @@
 #include "kernels/spgemm.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
+#include <optional>
 #include <queue>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/math.hpp"
+#include "kernels/dense_accumulator.hpp"
 #include "sparse/stats.hpp"
 
 namespace casp {
@@ -109,45 +110,6 @@ class HashAccumulator {
   std::vector<Value> vals_;
   std::vector<std::uint64_t> used_;
   std::uint64_t mask_ = 0;
-};
-
-/// Dense sparse accumulator (Gilbert-Moler-Schreiber SPA).
-template <typename SR>
-class SpaAccumulator {
- public:
-  explicit SpaAccumulator(Index nrows)
-      : stamp_(static_cast<std::size_t>(nrows), -1),
-        vals_(static_cast<std::size_t>(nrows)) {}
-
-  void begin_column(Index col) { col_ = col; touched_.clear(); }
-
-  void accumulate(Index row, Value contribution) {
-    const auto r = static_cast<std::size_t>(row);
-    if (stamp_[r] != col_) {
-      stamp_[r] = col_;
-      vals_[r] = contribution;
-      touched_.push_back(row);
-    } else {
-      vals_[r] = SR::add(vals_[r], contribution);
-    }
-  }
-
-  Index size() const { return static_cast<Index>(touched_.size()); }
-
-  /// Emit sorted by row.
-  void emit_sorted(Index* rowids, Value* vals) {
-    std::sort(touched_.begin(), touched_.end());
-    for (std::size_t k = 0; k < touched_.size(); ++k) {
-      rowids[k] = touched_[k];
-      vals[k] = vals_[static_cast<std::size_t>(touched_[k])];
-    }
-  }
-
- private:
-  std::vector<Index> stamp_;
-  std::vector<Value> vals_;
-  std::vector<Index> touched_;
-  Index col_ = -1;
 };
 
 /// Shared output assembly: callers fill per-column slices of an
@@ -311,9 +273,8 @@ CscMat run_spgemm(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
   {
     HashAccumulator<SR> hash_acc;
     SortScratch sort_scratch;
-    std::unique_ptr<SpaAccumulator<SR>> spa;
-    if (kind == SpGemmKind::kSpa)
-      spa = std::make_unique<SpaAccumulator<SR>>(a.nrows());
+    std::optional<DenseRowAccumulator> spa;
+    if (kind == SpGemmKind::kSpa) spa.emplace(a.nrows());
 
 #if defined(CASP_HAVE_OPENMP)
 #pragma omp for schedule(dynamic, 16)
@@ -365,7 +326,6 @@ CscMat run_spgemm(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
           break;
         }
         case SpGemmKind::kSpa: {
-          spa->begin_column(j);
           const auto brows = b.col_rowids(j);
           const auto bvals = b.col_vals(j);
           for (std::size_t t = 0; t < brows.size(); ++t) {
@@ -374,7 +334,7 @@ CscMat run_spgemm(const MatA& a, const MatB& b, SpGemmKind kind, int threads,
             const auto arows = a.col_rowids(i);
             const auto avals = a.col_vals(i);
             for (std::size_t k = 0; k < arows.size(); ++k)
-              spa->accumulate(arows[k], SR::mul(avals[k], bv));
+              spa->accumulate<SR>(arows[k], SR::mul(avals[k], bv));
           }
           cnt = spa->size();
           spa->emit_sorted(out.col_rowids(j), out.col_vals(j));

@@ -44,6 +44,8 @@ class CscMat {
   std::span<const Index> rowids() const { return rowids_; }
   std::span<const Value> vals() const { return vals_; }
   std::span<Value> vals_mutable() { return vals_; }
+  /// For in-place reorders that keep every entry in its column.
+  std::span<Index> rowids_mutable() { return rowids_; }
 
   /// Row ids / values of column j.
   std::span<const Index> col_rowids(Index j) const {

@@ -10,10 +10,45 @@
 
 namespace casp {
 
+namespace {
+
+/// l = 1: the fiber is this rank alone, so there is nothing to exchange.
+/// The q stage partials are merged once, as Merge-Fiber, emitting the
+/// final sorted columns; they stay charged until that merge ends.
+template <typename SR>
+CscMat summa3d_single_layer(Grid3D& grid, const CscMat& local_a,
+                            const CscMat& local_b, const SummaOptions& opts) {
+  StagePartials partials = summa2d_stages<SR>(grid, local_a, local_b, opts);
+  obs::Recorder& rec = grid.fiber_comm().recorder();
+  obs::ScopedTag layer_tag(rec, obs::ScopedTag::Kind::kLayer, grid.layer());
+  CscMat c;
+  {
+    obs::Span span(rec, steps::kMergeFiber);
+    if (partials.mats.size() == 1) {
+      c = std::move(partials.mats.front());
+      if (opts.sort_final) sort_columns_in_place(c, opts.threads);
+    } else {
+      c = merge_matrices<SR>(csc_refs(partials.mats), opts.merge_kind,
+                             opts.threads, opts.sort_final);
+    }
+  }
+  if (opts.memory != nullptr)
+    rec.sample_memory(*opts.memory, "memory.live_bytes");
+  return c;
+}
+
+}  // namespace
+
 template <typename SR>
 CscMat summa3d(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
                const SummaOptions& opts, std::span<const Index> col_splits) {
   const int l = grid.layers();
+  CASP_CHECK_MSG(col_splits.empty() ||
+                     static_cast<int>(col_splits.size()) == l + 1,
+                 "summa3d: need l+1 column split boundaries");
+  CASP_CHECK(col_splits.empty() || (col_splits.front() == 0 &&
+                                    col_splits.back() == local_b.ncols()));
+  if (l == 1) return summa3d_single_layer<SR>(grid, local_a, local_b, opts);
 
   // Stage loop + Merge-Layer within my layer.
   CscMat d = summa2d<SR>(grid, local_a, local_b, opts);
@@ -24,16 +59,11 @@ CscMat summa3d(Grid3D& grid, const CscMat& local_a, const CscMat& local_b,
                             "layer-merged D");
 
   // ColSplit (line 4, Alg. 2).
-  std::vector<Index> splits;
-  if (col_splits.empty()) {
+  std::vector<Index> splits(col_splits.begin(), col_splits.end());
+  if (splits.empty()) {
     splits.resize(static_cast<std::size_t>(l) + 1);
     for (int m = 0; m <= l; ++m)
       splits[static_cast<std::size_t>(m)] = part_low(m, l, d.ncols());
-  } else {
-    CASP_CHECK_MSG(static_cast<int>(col_splits.size()) == l + 1,
-                   "summa3d: need l+1 column split boundaries");
-    splits.assign(col_splits.begin(), col_splits.end());
-    CASP_CHECK(splits.front() == 0 && splits.back() == d.ncols());
   }
 
   vmpi::Comm& fiber = grid.fiber_comm();

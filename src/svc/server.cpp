@@ -811,7 +811,7 @@ void Server::run_body(JobRecord& rec, vmpi::Comm& world, int layers,
       CscMat full;
       {
         obs::PhaseSpan span(world.recorder(), steps::kResultGather);
-        full = gather_dist_root(grid, r.c);
+        full = gather_dist_root(grid, std::move(r.c));
       }
       if (world.rank() == 0) {
         rec.c = std::move(full);

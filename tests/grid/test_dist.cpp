@@ -170,6 +170,43 @@ TEST(DistGather, DuplicateRowsInABlockColumnAreSummedLikeFromTriples) {
   });
 }
 
+TEST(DistGather, OneRankConsumingGatherMatchesTheAssembly) {
+  // At p = 1 the consuming gather moves a canonical block into the result
+  // and assembles an unsorted or duplicate-carrying one; either way it
+  // equals the copying gather bit for bit.
+  const CscMat global = testing::random_matrix(30, 22, 4.0, 49);
+  CscMat duplicated = global;
+  {
+    // Column 0 repeats its first row (out of order), as a heap merge of
+    // unsorted columns can.
+    std::vector<Index> rows(global.rowids().begin(), global.rowids().end());
+    ASSERT_GE(global.col_nnz(0), 2);
+    rows[1] = rows[0];
+    duplicated = CscMat(global.nrows(), global.ncols(),
+                        std::vector<Index>(global.colptr().begin(),
+                                           global.colptr().end()),
+                        std::move(rows),
+                        std::vector<Value>(global.vals().begin(),
+                                           global.vals().end()));
+  }
+  for (const CscMat& local :
+       {global, reverse_columns(global), duplicated}) {
+    vmpi::run(1, [&](vmpi::Comm& world) {
+      Grid3D grid(world, 1);
+      DistMat3D dist;
+      dist.global_rows = local.nrows();
+      dist.global_cols = local.ncols();
+      dist.rows = {0, local.nrows()};
+      dist.cols = {0, local.ncols()};
+      dist.local = local;
+      const CscMat assembled = gather_dist_root(grid, dist);
+      const CscMat consumed = gather_dist_root(grid, std::move(dist));
+      testing::expect_mat_identical(consumed, assembled);
+      EXPECT_TRUE(consumed.columns_sorted());
+    });
+  }
+}
+
 /// Runs a 2-rank root gather in which rank 1's block is moved to
 /// (row_start, col_start); returns the CASP_CHECK message it raised.
 std::string gather_with_rank1_block_at(Index row_start, Index col_start) {

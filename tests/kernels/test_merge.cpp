@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "kernels/merge.hpp"
 #include "kernels/reference.hpp"
 #include "kernels/spgemm.hpp"
@@ -145,6 +146,144 @@ TEST_P(MergeBothKinds, FusedSortEqualsMergeThenSortColumnsMinPlus) {
 INSTANTIATE_TEST_SUITE_P(Kinds, MergeBothKinds,
                          ::testing::Values(MergeKind::kUnsortedHash,
                                            MergeKind::kSortedHeap));
+
+// Pieces shaped like unsorted-hash Local-Multiply partials: every column
+// holds distinct rows in random order. Columns j % 4 == 0 are empty in
+// every piece; columns j % 4 == 1 hold one entry per piece, at row 0 or
+// row nrows - 1 (far apart); the rest hold `per_col` random rows.
+// `boolean` draws values from {0, 1} (OrAnd's domain).
+std::vector<CscMat> accumulator_pieces(int count, Index nrows, Index ncols,
+                                       Index per_col, bool boolean,
+                                       std::uint64_t seed) {
+  std::vector<CscMat> pieces;
+  Rng rng(seed);
+  std::vector<char> seen(static_cast<std::size_t>(nrows), 0);
+  for (int s = 0; s < count; ++s) {
+    std::vector<Index> colptr{0};
+    std::vector<Index> rows;
+    std::vector<Value> vals;
+    auto value = [&] {
+      return boolean ? static_cast<Value>(rng.below(2)) : rng.uniform() - 0.25;
+    };
+    for (Index j = 0; j < ncols; ++j) {
+      if (j % 4 == 1) {
+        rows.push_back(s % 2 == 0 ? 0 : nrows - 1);
+        vals.push_back(value());
+      } else if (j % 4 != 0) {
+        const std::size_t first = rows.size();
+        while (static_cast<Index>(rows.size() - first) < per_col) {
+          const Index r = rng.range(0, nrows);
+          if (seen[static_cast<std::size_t>(r)] != 0) continue;
+          seen[static_cast<std::size_t>(r)] = 1;
+          rows.push_back(r);
+          vals.push_back(value());
+        }
+        for (std::size_t k = first; k < rows.size(); ++k)
+          seen[static_cast<std::size_t>(rows[k])] = 0;
+      }
+      colptr.push_back(static_cast<Index>(rows.size()));
+    }
+    pieces.emplace_back(nrows, ncols, std::move(colptr), std::move(rows),
+                        std::move(vals));
+  }
+  return pieces;
+}
+
+// The same entries in a block with `nrows` rows.
+CscMat with_rows(const CscMat& m, Index nrows) {
+  return CscMat(nrows, m.ncols(),
+                std::vector<Index>(m.colptr().begin(), m.colptr().end()),
+                std::vector<Index>(m.rowids().begin(), m.rowids().end()),
+                std::vector<Value>(m.vals().begin(), m.vals().end()));
+}
+
+// The hash merge's dense row accumulator against its hash table + sort
+// path: the same pieces, once in their own block (dense) and once in a
+// block too tall for the size rule (hash), must merge to the same arrays.
+template <typename SR>
+void expect_dense_rows_match_hash(bool boolean) {
+  for (const Index nrows : {1, 63, 64, 65, 4097}) {
+    const Index per_col = std::min<Index>(nrows, 24);
+    const Index ncols = 16 + 12 * nrows / per_col;
+    for (const int count : {1, 2, 4, 16}) {
+      const auto pieces = accumulator_pieces(
+          count, nrows, ncols, per_col, boolean,
+          70 + static_cast<std::uint64_t>(nrows * count));
+      Index input = 0;
+      for (const CscMat& m : pieces) input += m.nnz();
+      const Index tall_rows = nrows + input + 1;
+      std::vector<CscMat> tall;
+      for (const CscMat& m : pieces) tall.push_back(with_rows(m, tall_rows));
+      for (const int threads : {1, 4}) {
+        ASSERT_TRUE(merge_uses_dense_rows(nrows, input, threads));
+        ASSERT_FALSE(merge_uses_dense_rows(tall_rows, input, threads));
+        for (const bool sort_output : {false, true}) {
+          const CscMat dense = merge_matrices<SR>(
+              csc_refs(pieces), MergeKind::kUnsortedHash, threads,
+              sort_output);
+          const CscMat hashed = merge_matrices<SR>(
+              csc_refs(tall), MergeKind::kUnsortedHash, threads, sort_output);
+          SCOPED_TRACE(::testing::Message()
+                       << "nrows=" << nrows << " count=" << count
+                       << " threads=" << threads
+                       << " sort_output=" << sort_output);
+          testing::expect_mat_identical(dense, with_rows(hashed, nrows));
+          if (sort_output) {
+            EXPECT_TRUE(dense.columns_sorted());
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MergeDenseRows, MatchesHashPathBitForBitPlusTimes) {
+  expect_dense_rows_match_hash<PlusTimes>(false);
+}
+
+TEST(MergeDenseRows, MatchesHashPathBitForBitMinPlus) {
+  expect_dense_rows_match_hash<MinPlus>(false);
+}
+
+TEST(MergeDenseRows, MatchesHashPathBitForBitMaxMin) {
+  expect_dense_rows_match_hash<MaxMin>(false);
+}
+
+TEST(MergeDenseRows, MatchesHashPathBitForBitOrAnd) {
+  expect_dense_rows_match_hash<OrAnd>(true);
+}
+
+TEST(MergeDenseRows, SortColumnsInPlaceEqualsSortColumns) {
+  // Distinct-row columns take the dense accumulator; a column holding a
+  // row twice falls back to sort_column_entries, so the ties still land
+  // where CscMat::sort_columns puts them.
+  for (const Index nrows : {1, 65, 4097}) {
+    CscMat m = accumulator_pieces(1, nrows, 16 + 12 * nrows / 24,
+                                  std::min<Index>(nrows, 24), false,
+                                  90 + static_cast<std::uint64_t>(nrows))
+                   .front();
+    std::vector<Index> rows(m.rowids().begin(), m.rowids().end());
+    std::vector<Value> vals(m.vals().begin(), m.vals().end());
+    const auto last = static_cast<std::size_t>(m.colptr().back());
+    if (last >= 2 && m.col_nnz(m.ncols() - 1) >= 2) {
+      rows[last - 1] = rows[last - 2];  // repeat a row in the last column
+      vals[last - 1] = 2.5;
+    }
+    const CscMat unsorted(nrows, m.ncols(),
+                          std::vector<Index>(m.colptr().begin(),
+                                             m.colptr().end()),
+                          std::move(rows), std::move(vals));
+    CscMat expected = unsorted;
+    expected.sort_columns();
+    for (const int threads : {1, 4}) {
+      CscMat got = unsorted;
+      sort_columns_in_place(got, threads);
+      SCOPED_TRACE(::testing::Message()
+                   << "nrows=" << nrows << " threads=" << threads);
+      testing::expect_mat_identical(got, expected);
+    }
+  }
+}
 
 TEST(Merge, ShapeMismatchThrows) {
   std::vector<CscMat> pieces;

@@ -126,11 +126,14 @@ test (see tests/CMakeLists.txt). Rules:
                   In src/summa/, no `sort_columns(` call (nor any other
                   code use of the name, so a call split over lines or
                   taken through a member pointer counts). The paper sorts
-                  the output once, after Merge-Fiber, and that sort lives
-                  inside Merge-Fiber's merge_matrices call (sort_output),
-                  where it runs in the same parallel column loop as the
-                  merge. A separate sort_columns() pass is a second,
-                  serial sweep over all of local C.
+                  the output once, after Merge-Fiber, and that sort is
+                  Merge-Fiber's sorted emission: merge_matrices with
+                  sort_output emits each column in row order in the same
+                  parallel column loop as the merge (a bitmap scan on the
+                  dense path), and a lone l = 1 stage partial is sorted in
+                  place by sort_columns_in_place. A separate
+                  sort_columns() pass is a second, serial sweep over all
+                  of local C.
 
 Waivers (use sparingly, justify in a comment on the same line):
   // casp-lint: allow(<rule>)        — waives <rule> on this or next line
@@ -705,8 +708,10 @@ class Linter:
                 self.error(
                     rel, idx + 1, "summa-final-sort-in-merge",
                     "sort_columns() pass in the SUMMA layer — the single "
-                    "final sort runs inside Merge-Fiber's merge_matrices "
-                    "call (sort_output = opts.sort_final)")
+                    "final sort is Merge-Fiber's sorted emission: "
+                    "merge_matrices with sort_output = opts.sort_final "
+                    "emits each column in row order (a lone l = 1 partial: "
+                    "sort_columns_in_place)")
 
     def check_pragma_once(self, rel, code_lines, waived):
         for idx, line in enumerate(code_lines):
