@@ -49,10 +49,7 @@ int main() {
         best = std::move(r);
       }
     }
-    auto sec = [&](const char* s) {
-      const auto it = best.step_seconds.find(s);
-      return it == best.step_seconds.end() ? 0.0 : it->second;
-    };
+    auto sec = [&](const char* s) { return best.seconds(s); };
     computation[which] = sec(steps::kLocalMultiply) +
                          sec(steps::kMergeLayer) + sec(steps::kMergeFiber);
     communication[which] = sec(steps::kABcast) + sec(steps::kBBcast) +

@@ -72,11 +72,9 @@ int main() {
           {fmt_int(l), fmt_int(b), fmt_bytes(phase_bytes(steps::kABcast)),
            fmt_bytes(phase_bytes(steps::kBBcast)),
            fmt_bytes(phase_bytes(steps::kAllToAllFiber)),
-           fmt_time(r.step_seconds.at(steps::kLocalMultiply)),
-           fmt_time(r.step_seconds.at(steps::kMergeLayer)),
-           fmt_time(r.step_seconds.count(steps::kMergeFiber)
-                        ? r.step_seconds.at(steps::kMergeFiber)
-                        : 0.0),
+           fmt_time(r.seconds(steps::kLocalMultiply)),
+           fmt_time(r.seconds(steps::kMergeLayer)),
+           fmt_time(r.seconds(steps::kMergeFiber)),
            fmt_time(r.wall_seconds)});
     }
   }
@@ -84,6 +82,7 @@ int main() {
   std::printf(
       "\nExpected shapes: A-Bcast bytes grow ~linearly with b and shrink\n"
       "with l; B-Bcast bytes independent of b; AllToAll-Fiber grows with l\n"
-      "and is flat in b; merge times flat in b.\n");
+      "and is flat in b; merge times flat in b. At l = 1 the stage partials\n"
+      "are merged once, under Merge-Fiber, so Merge-Layer reads 0 there.\n");
   return 0;
 }

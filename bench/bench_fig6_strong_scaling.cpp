@@ -77,16 +77,18 @@ int main() {
 
   std::printf("--- measured wall times, Isolates-small-s, l=1, b=4, real "
               "execution [MEASURED] ---\n");
-  Table meas({"virtual ranks", "wall", "Local-Mult", "Merge-Layer"});
+  Table meas({"virtual ranks", "wall", "Local-Mult", "Merge"});
   for (int p : {1, 4, 16}) {
     const MeasuredRun r = run_measured(isolates_small_s(), p, 1, 4);
     meas.add_row({fmt_int(p), fmt_time(r.wall_seconds),
-                  fmt_time(r.step_seconds.at(steps::kLocalMultiply)),
-                  fmt_time(r.step_seconds.at(steps::kMergeLayer))});
+                  fmt_time(r.seconds(steps::kLocalMultiply)),
+                  fmt_time(r.seconds(steps::kMergeLayer) +
+                           r.seconds(steps::kMergeFiber))});
   }
   meas.print();
-  std::printf("\n(single host: ranks share one core, so wall time cannot\n"
-              "strong-scale; per-rank compute steps shrink as 1/p, which is\n"
-              "the distributed-work property the model extrapolates.)\n");
+  std::printf("\n(Merge: at l = 1 the stage partials are merged once, under\n"
+              "Merge-Fiber. Single host: ranks share one core, so wall time\n"
+              "cannot strong-scale; per-rank compute steps shrink as 1/p, which\n"
+              "is the distributed-work property the model extrapolates.)\n");
   return 0;
 }

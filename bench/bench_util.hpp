@@ -71,6 +71,12 @@ struct MeasuredRun {
   Index p = 1, l = 1, b = 1;
   /// Max-over-ranks seconds per step (real wall time).
   std::map<std::string, double> step_seconds;
+  /// step_seconds of `step`, or 0 when the run never entered it (an l = 1
+  /// run records its one merge under Merge-Fiber and has no Merge-Layer).
+  double seconds(const std::string& step) const {
+    const auto it = step_seconds.find(step);
+    return it == step_seconds.end() ? 0.0 : it->second;
+  }
   /// Exact communication per phase (sum over ranks).
   std::map<std::string, vmpi::PhaseTraffic> traffic;
   double wall_seconds = 0.0;

@@ -107,7 +107,6 @@ CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
   for (const CscConstRef& m : pieces)
     CASP_CHECK_MSG(m.nrows() == nrows && m.ncols() == ncols,
                    "merge: shape mismatch");
-  const bool single = pieces.size() == 1;
 
   // Upper bound per output column: total input entries in that column.
   std::vector<Index> ub_ptr(static_cast<std::size_t>(ncols) + 1, 0);
@@ -148,16 +147,7 @@ CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
       Index* out_rows = rowids.data() + ub_ptr[static_cast<std::size_t>(j)];
       Value* out_vals = vals.data() + ub_ptr[static_cast<std::size_t>(j)];
       Index cnt = 0;
-      if (single) {
-        // Nothing to add: under the header's precondition both kinds
-        // would reproduce the column as it is.
-        std::copy_n(pieces.front().col_rowids(j).begin(), cap, out_rows);
-        std::copy_n(pieces.front().col_vals(j).begin(), cap, out_vals);
-        cnt = cap;
-        if (sort_output)
-          sort_column(dense ? &*rows_acc : nullptr, out_rows, out_vals,
-                      static_cast<std::size_t>(cnt), sort_buf);
-      } else if (dense) {
+      if (dense) {
         for (const CscConstRef& m : pieces) {
           const auto rows = m.col_rowids(j);
           const auto mv = m.col_vals(j);
@@ -218,8 +208,7 @@ CscMat merge_matrices(std::span<const CscConstRef> pieces, MergeKind kind,
     }
   }
 
-  // No column lost entries (always so for one piece): the upper-bound
-  // arrays are already the result.
+  // No column lost entries: the upper-bound arrays are already the result.
   bool full = true;
   for (Index j = 0; j < ncols && full; ++j)
     full = counts[static_cast<std::size_t>(j)] ==

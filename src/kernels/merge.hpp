@@ -39,13 +39,10 @@ const char* to_string(MergeKind kind);
 /// paths sum each row in the same order, so the output is the same bit for
 /// bit whichever one runs.
 ///
-/// Each output entry is written once: a single piece is copied column by
-/// column with no hash table or heap, and when no column lost entries to
-/// a duplicate the per-column upper-bound arrays become the result with no
-/// compaction copy. Precondition for the single-piece copy to equal a
-/// merge: each input column holds a row at most once (kSortedHeap needs
-/// only that no row repeats back to back). Every local kernel and every
-/// merge output satisfies it.
+/// Each output entry is written once: when no column lost entries to a
+/// duplicate, the per-column upper-bound arrays become the result with no
+/// compaction copy. One piece has nothing to merge with; to sort a lone
+/// matrix use sort_columns_in_place, which does not copy it.
 ///
 /// The single entry point takes non-owning refs; wrap an owned collection
 /// with csc_refs(...) — works identically for CscMat vectors and CscView
