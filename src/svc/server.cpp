@@ -1,16 +1,14 @@
 #include "svc/server.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <optional>
 #include <sstream>
-#include <thread>
 #include <tuple>
 #include <utility>
 
 #include "apps/triangle.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "grid/dist.hpp"
 #include "grid/grid3d.hpp"
 #include "kernels/semiring.hpp"
@@ -42,6 +40,18 @@ const char* to_string(JobState s) {
   }
   return "unknown";
 }
+
+namespace {
+
+std::string throttle_reason(const TenantLedger& ledger) {
+  std::ostringstream os;
+  os << "svc: tenant \"" << ledger.name() << "\" traffic quota exhausted ("
+     << ledger.traffic_billed() << " B logical billed >= quota "
+     << ledger.quota().traffic_bytes << " B)";
+  return os.str();
+}
+
+}  // namespace
 
 Server::Server(ServerOptions options)
     : options_(options),
@@ -142,12 +152,7 @@ std::string Server::submit(JobSpec spec) {
     return id;
   }
   if (ledger.traffic_exhausted()) {
-    std::ostringstream os;
-    os << "svc: tenant \"" << job.spec.tenant
-       << "\" traffic quota exhausted (" << ledger.traffic_billed()
-       << " B logical billed >= quota " << ledger.quota().traffic_bytes
-       << " B)";
-    finish(job, JobState::kThrottled, os.str());
+    finish(job, JobState::kThrottled, throttle_reason(ledger));
     return id;
   }
   // Take the reservation now when the quota allows; otherwise the job
@@ -169,20 +174,11 @@ const JobRecord& Server::wait(const std::string& job_id) {
   auto it = jobs_.find(job_id);
   if (it == jobs_.end())
     throw InvalidArgument("svc: unknown job id \"" + job_id + "\"");
-  while (!it->second->terminal() && step()) {
-  }
+  run(1, it->second.get());
   return *it->second;
 }
 
-void Server::drain() {
-  const int width = effective_concurrency();
-  if (width > 1) {
-    drain_concurrent(width);
-    return;
-  }
-  while (!queue_.empty() && step()) {
-  }
-}
+void Server::drain() { run(effective_concurrency(), nullptr); }
 
 int Server::effective_concurrency() const {
   int k = std::max(1, options_.concurrency);
@@ -197,53 +193,6 @@ int Server::effective_concurrency() const {
 const JobRecord* Server::find(const std::string& job_id) const {
   auto it = jobs_.find(job_id);
   return it == jobs_.end() ? nullptr : it->second.get();
-}
-
-bool Server::step() {
-  std::vector<std::string> deferred;
-  bool progressed = false;
-  while (!queue_.empty()) {
-    const std::string id = queue_.pop();
-    JobRecord& rec = *jobs_.at(id);
-    TenantLedger& ledger = tenant(rec.spec.tenant);
-    if (ledger.traffic_exhausted()) {
-      std::ostringstream os;
-      os << "svc: tenant \"" << rec.spec.tenant
-         << "\" traffic quota exhausted (" << ledger.traffic_billed()
-         << " B logical billed >= quota " << ledger.quota().traffic_bytes
-         << " B)";
-      finish(rec, JobState::kThrottled, os.str());
-      progressed = true;
-      continue;  // other tenants' jobs keep going
-    }
-    if (!rec.holds_reservation) {
-      if (ledger.reserve(rec.reserved_bytes)) {
-        rec.holds_reservation = true;
-      } else {
-        deferred.push_back(id);
-        continue;
-      }
-    }
-    execute(rec);
-    progressed = true;
-    break;
-  }
-  for (const std::string& id : deferred)
-    queue_.push(id, jobs_.at(id)->spec.priority,
-                jobs_.at(id)->spec.deadline_ms);
-  if (!progressed && !deferred.empty()) {
-    // Defensive: every reservation is held by a queued job, so a full
-    // no-progress pass means these reservations can never be satisfied.
-    for (const std::string& id : deferred) {
-      JobRecord& rec = *jobs_.at(id);
-      queue_.remove(id);
-      finish(rec, JobState::kRejected,
-             "svc: reservation cannot be satisfied under the tenant's "
-             "memory quota");
-    }
-    progressed = true;
-  }
-  return progressed;
 }
 
 namespace {
@@ -275,13 +224,11 @@ void fold_billing(obs::JobBilling& total, const obs::JobBilling& attempt) {
 
 }  // namespace
 
-/// Per-job execution state shared by the serial and concurrent drivers.
-/// One Exec spans all rounds of one job: the grid the next attempt runs
-/// on, the redistributed-resume cache, the cumulative bill and recovery
-/// evidence, and — while a ticket is in flight — the supervision chain's
-/// accumulators (the incremental form of detail::supervise, so an attempt
-/// can be collected and relaunched without blocking the launcher between
-/// whole chains).
+/// Per-job execution state. One Exec spans all rounds of one job: the grid
+/// the next attempt runs on, the redistributed-resume cache, the cumulative
+/// bill and recovery evidence, and — while a ticket is in flight — the
+/// round's supervision chain, driven one attempt at a time so the launcher
+/// never blocks on a whole chain.
 struct Server::Exec {
   JobRecord* rec = nullptr;
   /// Grid the current round runs on; shrinks after a permanent loss,
@@ -307,29 +254,9 @@ struct Server::Exec {
   // In-flight attempt state (valid while ticket != nullptr).
   std::vector<int> members;  ///< pool ranks; members[i] backs job rank i
   vmpi::JobTicketPtr ticket;
-  bool supervised = false;
-  vmpi::SupervisorOptions sopts;  ///< this round's supervision knobs
-  vmpi::FaultPlan plan;           ///< live plan (disarmed as faults fire)
-  vmpi::SupervisedResult sup;     ///< this round's chain accumulators
-  Stopwatch chain;                ///< this round's chain clock
+  /// This round's supervision chain; empty for unsupervised specs.
+  std::optional<vmpi::SupervisionChain> chain;
 };
-
-void Server::execute(JobRecord& rec) {
-  rec.state = JobState::kRunning;
-  Exec e;
-  e.rec = &rec;
-  e.run_ranks = rec.spec.ranks;
-  e.run_layers = rec.spec.layers;
-  if (begin_round(e) == RoundStart::kStarted) {
-    while (e.ticket != nullptr) complete_attempt(e);
-  }
-  if (!rec.terminal()) {
-    // kNoCapacity cannot happen on the serial path (every rank is idle
-    // between jobs); defensive so a logic error fails loudly, not hangs.
-    finish(rec, JobState::kFailed,
-           "svc: no schedulable pool ranks for the job");
-  }
-}
 
 Server::RoundStart Server::begin_round(Exec& e) {
   JobRecord& rec = *e.rec;
@@ -348,7 +275,7 @@ Server::RoundStart Server::begin_round(Exec& e) {
   // Schedulable ranks for THIS job: alive and not held by another job's
   // in-flight split (busy_ is launcher-side bookkeeping — see server.hpp).
   // Dead ranks stay resident (they are threads whose death is logical) but
-  // are never scheduled onto again. In the serial drain avail == alive.
+  // are never scheduled onto again. At width 1 avail == alive.
   const std::vector<int> alive = pool_.alive_ranks();
   std::vector<int> avail;
   avail.reserve(alive.size());
@@ -470,19 +397,13 @@ Server::RoundStart Server::begin_round(Exec& e) {
       !pool_.probation_ranks().empty())
     rec.attempt_pause = 1;
 
-  // Reset this round's supervision chain (the incremental form of
-  // detail::supervise: same plan threading, same backoff ladder).
-  e.supervised = spec.supervised();
-  if (e.supervised) {
-    e.sopts = spec.supervisor_options();
+  // A fresh supervision chain per round; emplace drops the spent one.
+  if (spec.supervised()) {
+    vmpi::SupervisorOptions sopts = spec.supervisor_options();
     for (const std::string& kind : e.disarm)
-      if (e.sopts.faults.has_value())
-        e.sopts.faults = e.sopts.faults->disarmed(kind);
-    e.plan = e.sopts.faults.has_value() ? *e.sopts.faults
-                                        : vmpi::FaultPlan::from_env();
-    e.sup = vmpi::SupervisedResult{};
-    e.sup.max_restarts = e.sopts.max_restarts;
-    e.chain = Stopwatch{};
+      if (sopts.faults.has_value())
+        sopts.faults = sopts.faults->disarmed(kind);
+    e.chain.emplace(std::move(sopts));
   }
   start_attempt(e);
   return RoundStart::kStarted;
@@ -499,18 +420,8 @@ void Server::start_attempt(Exec& e) {
     run_body(rec, world, layers, attempt_resume);
   };
   vmpi::RunOptions ropts;
-  if (e.supervised) {
-    ropts.faults = e.plan;
-    ropts.capture_failure = true;
-    if (e.sopts.deadline_ms > 0) {
-      // Each attempt runs under what is left of the chain budget (never 0:
-      // a spent budget still gets one fast-failing probe so the failure
-      // classifies as deadline_exceeded instead of hanging here).
-      const auto elapsed =
-          static_cast<std::int64_t>(e.chain.seconds() * 1000.0);
-      ropts.deadline_ms =
-          std::max<std::int64_t>(e.sopts.deadline_ms - elapsed, 1);
-    }
+  if (e.chain.has_value()) {
+    ropts = e.chain->attempt_options();
   } else {
     ropts = rec.spec.run_options();
     for (const std::string& kind : e.disarm)
@@ -529,57 +440,31 @@ void Server::complete_attempt(Exec& e) {
   e.ticket = nullptr;
   for (const int r : e.members) busy_[static_cast<std::size_t>(r)] = 0;
 
-  if (e.supervised) {
-    if (res.failed() && vmpi::recoverable_failure(*res.failure) &&
-        e.sup.restarts < e.sopts.max_restarts) {
-      // Chain continues: disarm the fault that fired, wait out the backoff
-      // ladder (PLAN = deterministic evidence, MEASURED = wall clock), and
-      // relaunch on the same members.
-      e.sup.wasted_seconds += res.wall_seconds;
-      e.plan = e.plan.disarmed(res.failure->kind);
-      e.sup.recovered_failures.push_back(*std::move(res.failure));
-      std::int64_t plan_us = 0;
-      if (e.sopts.restart_backoff_base_us > 0) {
-        plan_us = e.sopts.restart_backoff_base_us;
-        for (int i = 0;
-             i < e.sup.restarts && plan_us < e.sopts.restart_backoff_cap_us;
-             ++i)
-          plan_us *= 2;
-        plan_us = std::min(plan_us, e.sopts.restart_backoff_cap_us);
-      }
-      std::int64_t measured_us = 0;
-      if (plan_us > 0) {
-        Stopwatch slept;
-        std::this_thread::sleep_for(std::chrono::microseconds(plan_us));
-        measured_us = static_cast<std::int64_t>(slept.seconds() * 1e6);
-      }
-      e.sup.backoff_plan_us.push_back(plan_us);
-      e.sup.backoff_us.push_back(measured_us);
-      ++e.sup.restarts;
-      start_attempt(e);
+  if (e.chain.has_value()) {
+    if (e.chain->retry(res)) {
+      start_attempt(e);  // same members; the chain slept its backoff
       return;
     }
-    // Chain over: fold its accounting into the job, exactly as the serial
-    // run_supervised epilogue did.
-    e.sup.result = std::move(res);
+    // Chain over: fold its accounting into the job.
+    vmpi::SupervisedResult sup = e.chain->finish(std::move(res));
     e.track_recovery = true;
-    e.recovery.restarts += e.sup.restarts;
-    e.recovery.max_restarts = e.sup.max_restarts;
-    e.recovery.wasted_seconds += e.sup.wasted_seconds;
-    for (const vmpi::FailureReport& f : e.sup.recovered_failures)
+    e.recovery.restarts += sup.restarts;
+    e.recovery.max_restarts = sup.max_restarts;
+    e.recovery.wasted_seconds += sup.wasted_seconds;
+    for (const vmpi::FailureReport& f : sup.recovered_failures)
       e.recovery.failure_kinds.push_back(f.kind);
-    for (const std::int64_t us : e.sup.backoff_us)
+    for (const std::int64_t us : sup.backoff_us)
       e.recovery.backoff_us.push_back(us);
-    for (const std::int64_t us : e.sup.backoff_plan_us)
+    for (const std::int64_t us : sup.backoff_plan_us)
       e.recovery.backoff_plan_us.push_back(us);
-    obs::JobBilling abill = obs::bill_traffic(e.sup.result);
-    abill.restarts = e.sup.restarts;
-    for (const vmpi::FailureReport& f : e.sup.recovered_failures)
+    obs::JobBilling abill = obs::bill_traffic(sup.result);
+    abill.restarts = sup.restarts;
+    for (const vmpi::FailureReport& f : sup.recovered_failures)
       abill.recovered_failure_kinds.push_back(f.kind);
-    ledger.bill(abill, e.sup.result);
+    ledger.bill(abill, sup.result);
     fold_billing(e.bill, abill);
-    rec.report.run = obs::build_report(e.sup);
-    res = std::move(e.sup.result);
+    rec.report.run = obs::build_report(sup);
+    res = std::move(sup.result);
   } else {
     obs::JobBilling abill = obs::bill_traffic(res);
     ledger.bill(abill, res);
@@ -668,14 +553,18 @@ void Server::complete_attempt(Exec& e) {
   begin_round(e);
 }
 
-void Server::drain_concurrent(int width) {
+void Server::run(int width, const JobRecord* until) {
   // Up to `width` jobs in flight on disjoint splits. Dispatch order is the
   // queue's EDF-over-priority order; collection is oldest-dispatch-first.
-  // Both depend only on launcher-visible state, so the drain schedules
-  // identically on every run of the same submission sequence.
+  // Both depend only on launcher-visible state, so the loop schedules
+  // identically on every run of the same submission sequence. At width 1
+  // each dispatched job runs to a terminal state before the next pops.
   std::vector<std::unique_ptr<Exec>> active;  ///< ticket in flight
   std::vector<std::unique_ptr<Exec>> parked;  ///< waiting for a free split
   for (;;) {
+    if (until != nullptr && until->terminal() && active.empty() &&
+        parked.empty())
+      return;
     bool progressed = false;
     // Refill: parked execs first (oldest first), then the queue.
     for (std::size_t i = 0;
@@ -695,12 +584,7 @@ void Server::drain_concurrent(int width) {
       JobRecord& rec = *jobs_.at(id);
       TenantLedger& ledger = tenant(rec.spec.tenant);
       if (ledger.traffic_exhausted()) {
-        std::ostringstream os;
-        os << "svc: tenant \"" << rec.spec.tenant
-           << "\" traffic quota exhausted (" << ledger.traffic_billed()
-           << " B logical billed >= quota " << ledger.quota().traffic_bytes
-           << " B)";
-        finish(rec, JobState::kThrottled, os.str());
+        finish(rec, JobState::kThrottled, throttle_reason(ledger));
         progressed = true;
         continue;
       }
@@ -759,7 +643,8 @@ void Server::drain_concurrent(int width) {
     if (queue_.empty()) return;
     if (!progressed) {
       // Every queued job is reservation-blocked and nothing is running:
-      // those reservations can never be satisfied (mirrors step()).
+      // every reservation is held by a queued job, so these can never be
+      // satisfied.
       while (!queue_.empty()) {
         const std::string id = queue_.pop();
         finish(*jobs_.at(id), JobState::kRejected,

@@ -23,17 +23,20 @@
 //        next job runs immediately.
 //   DONE / FAILED ── bill traffic ── release reservation
 //
-// Scheduling is deadline-aware EDF over priority (see svc/queue.hpp) and,
-// with ServerOptions::concurrency > 1, independent jobs dispatch onto
-// DISJOINT pool splits concurrently: drain() keeps up to K jobs in flight,
-// each on its own member set, and collects them oldest-first. Every
-// scheduling decision still happens on the caller's thread from
-// launcher-deterministic state (queue order, health map, the launcher's own
-// busy-set — never a racy "is that thread done yet" probe), so two drains
-// of the same submission sequence schedule identically — the property the
-// soak and double-drain checks compare. Health is per split: a permanent
-// crash marks only ranks of the owning job's split dead, and that job
-// shrinks onto its own survivors while its neighbours run untouched.
+// Scheduling is deadline-aware EDF over priority (see svc/queue.hpp). One
+// driver runs every job: up to K of them in flight on DISJOINT pool splits,
+// each on its own member set, collected oldest-first. drain() runs it at
+// K = ServerOptions::concurrency; wait() runs it at K = 1, the closed loop
+// every CLI and the end-to-end benchmark use. Every scheduling decision
+// happens on the caller's thread from launcher-deterministic state (queue
+// order, health map, the launcher's own busy-set — never a racy "is that
+// thread done yet" probe), so two drains of the same submission sequence
+// schedule identically, and K = 2 reproduces K = 1's reports — the
+// properties the soak and double-drain checks compare. Supervised jobs
+// restart through vmpi::SupervisionChain, one attempt per pool ticket.
+// Health is per split: a permanent crash marks only ranks of the owning
+// job's split dead, and that job shrinks onto its own survivors while its
+// neighbours run untouched.
 //
 // With ServerOptions::auto_rejoin, membership self-heals (DESIGN.md §5k):
 // a crashed rank's replacement enters probation immediately, elastic
@@ -130,9 +133,10 @@ struct ServerOptions {
   int pool_ranks = 4;
   /// Per-tenant limits; tenants not listed run unlimited.
   std::map<std::string, TenantQuota> quotas;
-  /// Max jobs in flight on disjoint pool splits during drain(). 1 = the
-  /// legacy serial drain. Clamped to 1 while a CASP_VMPI_SCHED plan is
-  /// active (one deterministic-scheduler state exists per process).
+  /// Max jobs in flight on disjoint pool splits during drain(); 1 runs one
+  /// job at a time (wait() always does). Clamped to 1 while a
+  /// CASP_VMPI_SCHED plan is active (one deterministic-scheduler state
+  /// exists per process).
   int concurrency = 1;
   /// Self-healing membership: a permanent crash's rank automatically
   /// requests re-join (kDead -> kProbation), shrunk elastic SpGEMM jobs
@@ -159,11 +163,13 @@ class Server {
   /// running, terminal, or unknown.
   bool cancel(const std::string& job_id);
 
-  /// Drive the queue until `job_id` reaches a terminal state; returns its
-  /// record. Throws InvalidArgument for an unknown id.
+  /// Drive the queue one job at a time, in queue order, until `job_id`
+  /// reaches a terminal state; returns its record with nothing left in
+  /// flight. Throws InvalidArgument for an unknown id.
   const JobRecord& wait(const std::string& job_id);
 
-  /// Drive the queue until empty.
+  /// Drive the queue until empty, up to ServerOptions::concurrency jobs in
+  /// flight.
   void drain();
 
   const JobRecord* find(const std::string& job_id) const;
@@ -181,9 +187,8 @@ class Server {
  private:
   /// Per-job execution state: the grid the next round runs on, the
   /// redistributed-resume cache, the cumulative bill/recovery evidence, and
-  /// the in-flight attempt's ticket + supervision-chain accumulators.
-  /// Defined in server.cpp; the serial execute() and the concurrent drain
-  /// share it.
+  /// the in-flight attempt's ticket plus the round's vmpi::SupervisionChain.
+  /// Defined in server.cpp; run() keeps one per dispatched job.
   struct Exec;
   enum class RoundStart {
     kStarted,     ///< attempt dispatched (Exec::ticket set)
@@ -191,10 +196,6 @@ class Server {
     kNoCapacity,  ///< enough ranks alive, but busy on other splits — retry
   };
 
-  /// Execute the best runnable queued job, if any. Returns false when the
-  /// queue made no progress (empty).
-  bool step();
-  void execute(JobRecord& rec);
   /// Top-of-round grid decision (shrink / regrow / fail) + dispatch.
   RoundStart begin_round(Exec& e);
   /// Dispatch one attempt of the current round as an async pool ticket.
@@ -203,8 +204,11 @@ class Server {
   /// chain, start the next round, or finish the job. Leaves Exec::ticket
   /// null exactly when the job is terminal or waiting for capacity.
   void complete_attempt(Exec& e);
-  /// Concurrent drain: up to `width` jobs in flight on disjoint splits.
-  void drain_concurrent(int width);
+  /// The one job driver: up to `width` jobs in flight on disjoint splits,
+  /// until the queue is empty — or, with `until`, until that job is
+  /// terminal and nothing is left in flight. drain() is
+  /// run(effective_concurrency(), nullptr); wait(id) is run(1, &job).
+  void run(int width, const JobRecord* until);
   int effective_concurrency() const;
   /// One attempt's rank-local body. `layers` and `resume` override the
   /// spec's grid shape and inject redistributed checkpoint state on

@@ -135,7 +135,7 @@ struct FaultPlan {
   /// removed: "rank_crash"/"deadlock" clear crash_rank, "retry_exhausted"
   /// clears send_fail, "permanent_crash" clears perm_crash_rank (applied by
   /// the *service* when relaunching on a shrunk grid — the dead rank is no
-  /// longer part of the job). The supervisor (vmpi::run_supervised) applies
+  /// longer part of the job). vmpi::SupervisionChain::retry applies
   /// this between attempts so the same deterministic fault does not kill
   /// every relaunch.
   FaultPlan disarmed(const std::string& failure_kind) const;

@@ -62,12 +62,4 @@ class JobExec {
   std::thread watchdog_;
 };
 
-/// The supervised-restart loop shared by the free run_supervised and
-/// RankPool::run_supervised: `attempt` runs one capture_failure attempt
-/// under the given options; recoverable failures relaunch with the fired
-/// fault disarmed until options.max_restarts is exhausted.
-SupervisedResult supervise(
-    const std::function<RunResult(const RunOptions&)>& attempt,
-    const SupervisorOptions& options);
-
 }  // namespace casp::vmpi::detail

@@ -353,13 +353,4 @@ RunResult RankPool::run_job(const std::function<void(Comm&)>& body,
   return finish_job(start_job_on(all, body, options));
 }
 
-SupervisedResult RankPool::run_supervised(
-    const std::function<void(Comm&)>& body, const SupervisorOptions& options) {
-  return detail::supervise(
-      [this, &body](const RunOptions& attempt_opts) {
-        return run_job(body, attempt_opts);
-      },
-      options);
-}
-
 }  // namespace casp::vmpi

@@ -112,11 +112,6 @@ class RankPool {
   RunResult run_job(const std::function<void(Comm&)>& body,
                     const RunOptions& options = {});
 
-  /// Supervised restart loop on the resident ranks; semantics match
-  /// vmpi::run_supervised(size(), body, options).
-  SupervisedResult run_supervised(const std::function<void(Comm&)>& body,
-                                  const SupervisorOptions& options = {});
-
   /// Launch a job asynchronously on the given pool ranks (ascending,
   /// currently idle). The job world has exactly members.size() ranks;
   /// members[i] backs world rank i. Returns after dispatch — the job runs

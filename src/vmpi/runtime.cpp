@@ -1,10 +1,12 @@
 #include "vmpi/runtime.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "common/error.hpp"
 #include "vmpi/job_exec.hpp"
@@ -526,65 +528,6 @@ RunResult JobExec::finalize(bool capture_failure) {
   return std::move(result_);
 }
 
-SupervisedResult supervise(
-    const std::function<RunResult(const RunOptions&)>& attempt,
-    const SupervisorOptions& options) {
-  FaultPlan plan =
-      options.faults.has_value() ? *options.faults : FaultPlan::from_env();
-  SupervisedResult sup;
-  sup.max_restarts = options.max_restarts;
-  Stopwatch chain;  // whole-chain clock: attempts + backoff waits
-  for (;;) {
-    RunOptions attempt_opts;
-    attempt_opts.faults = plan;
-    attempt_opts.capture_failure = true;
-    if (options.deadline_ms > 0) {
-      // Each attempt runs under what is left of the chain budget (never 0:
-      // a spent budget still gets one fast-failing probe so the failure
-      // classifies as deadline_exceeded instead of hanging here).
-      const auto elapsed =
-          static_cast<std::int64_t>(chain.seconds() * 1000.0);
-      attempt_opts.deadline_ms =
-          std::max<std::int64_t>(options.deadline_ms - elapsed, 1);
-    }
-    RunResult result = attempt(attempt_opts);
-    if (!result.failed() || !recoverable_failure(*result.failure) ||
-        sup.restarts >= options.max_restarts) {
-      sup.result = std::move(result);
-      return sup;
-    }
-    sup.wasted_seconds += result.wall_seconds;
-    // Disarm the fault that just fired so the deterministic plan does not
-    // kill the relaunch at the same op; every other configured fault stays
-    // live, mirroring "replace the dead node, keep the flaky network".
-    plan = plan.disarmed(result.failure->kind);
-    sup.recovered_failures.push_back(*std::move(result.failure));
-    // Capped exponential backoff before the relaunch (mirrors the
-    // transport's retry ladder): a crash-looping job must not hammer the
-    // pool back-to-back. Two ledgers per attempt: the deterministic PLAN
-    // (the ladder value this restart was asked to wait — schedule evidence,
-    // reproducible across runs) and the MEASURED wall-clock sleep (timing
-    // evidence, never deterministic).
-    std::int64_t plan_us = 0;
-    if (options.restart_backoff_base_us > 0) {
-      plan_us = options.restart_backoff_base_us;
-      for (int i = 0;
-           i < sup.restarts && plan_us < options.restart_backoff_cap_us; ++i)
-        plan_us *= 2;
-      plan_us = std::min(plan_us, options.restart_backoff_cap_us);
-    }
-    std::int64_t measured_us = 0;
-    if (plan_us > 0) {
-      Stopwatch slept;
-      std::this_thread::sleep_for(std::chrono::microseconds(plan_us));
-      measured_us = static_cast<std::int64_t>(slept.seconds() * 1e6);
-    }
-    sup.backoff_plan_us.push_back(plan_us);
-    sup.backoff_us.push_back(measured_us);
-    ++sup.restarts;
-  }
-}
-
 }  // namespace detail
 
 RunResult run(int size, const std::function<void(Comm&)>& body,
@@ -610,14 +553,73 @@ bool recoverable_failure(const FailureReport& report) {
   return false;  // unknown kinds never auto-relaunch
 }
 
+SupervisionChain::SupervisionChain(SupervisorOptions options)
+    : options_(std::move(options)),
+      plan_(options_.faults.has_value() ? *options_.faults
+                                        : FaultPlan::from_env()) {
+  sup_.max_restarts = options_.max_restarts;
+}
+
+RunOptions SupervisionChain::attempt_options() const {
+  RunOptions opts;
+  opts.faults = plan_;
+  opts.capture_failure = true;
+  if (options_.deadline_ms > 0) {
+    const auto elapsed =
+        static_cast<std::int64_t>(clock_.seconds() * 1000.0);
+    opts.deadline_ms =
+        std::max<std::int64_t>(options_.deadline_ms - elapsed, 1);
+  }
+  return opts;
+}
+
+bool SupervisionChain::retry(RunResult& attempt) {
+  if (!attempt.failed() || !recoverable_failure(*attempt.failure) ||
+      sup_.restarts >= options_.max_restarts)
+    return false;
+  sup_.wasted_seconds += attempt.wall_seconds;
+  // Disarm the fault that just fired so the deterministic plan does not
+  // kill the relaunch at the same op, mirroring "replace the dead node,
+  // keep the flaky network".
+  plan_ = plan_.disarmed(attempt.failure->kind);
+  sup_.recovered_failures.push_back(*std::move(attempt.failure));
+  // Capped exponential backoff (mirrors the transport's retry ladder): a
+  // crash-looping job must not hammer the pool back-to-back. The PLAN is
+  // the ladder value this restart was asked to wait (reproducible schedule
+  // evidence); the MEASURED sleep is timing evidence, never deterministic.
+  std::int64_t plan_us = 0;
+  if (options_.restart_backoff_base_us > 0) {
+    plan_us = options_.restart_backoff_base_us;
+    for (int i = 0;
+         i < sup_.restarts && plan_us < options_.restart_backoff_cap_us; ++i)
+      plan_us *= 2;
+    plan_us = std::min(plan_us, options_.restart_backoff_cap_us);
+  }
+  std::int64_t measured_us = 0;
+  if (plan_us > 0) {
+    Stopwatch slept;
+    std::this_thread::sleep_for(std::chrono::microseconds(plan_us));
+    measured_us = static_cast<std::int64_t>(slept.seconds() * 1e6);
+  }
+  sup_.backoff_plan_us.push_back(plan_us);
+  sup_.backoff_us.push_back(measured_us);
+  ++sup_.restarts;
+  return true;
+}
+
+SupervisedResult SupervisionChain::finish(RunResult final_attempt) {
+  sup_.result = std::move(final_attempt);
+  return std::move(sup_);
+}
+
 SupervisedResult run_supervised(int size,
                                 const std::function<void(Comm&)>& body,
                                 const SupervisorOptions& options) {
-  return detail::supervise(
-      [size, &body](const RunOptions& attempt_opts) {
-        return run(size, body, attempt_opts);
-      },
-      options);
+  SupervisionChain chain(options);
+  RunResult attempt = run(size, body, chain.attempt_options());
+  while (chain.retry(attempt))
+    attempt = run(size, body, chain.attempt_options());
+  return chain.finish(std::move(attempt));
 }
 
 SupervisedResult run_supervised(int size,

@@ -176,13 +176,54 @@ struct SupervisedResult {
   bool recovered() const { return restarts > 0 && !result.failed(); }
 };
 
-/// Run `body` under a supervisor: each attempt runs with capture_failure;
-/// when the captured FailureReport is recoverable_failure() and the restart
-/// budget allows, the already-fired fault is disarmed from the plan
-/// (FaultPlan::disarmed) and the job relaunches — bodies that checkpoint
-/// resume from their newest valid generation instead of recomputing.
-/// Unrecoverable failures and budget exhaustion return the failed attempt
-/// as-is (RunResult::failure set, never rethrown).
+/// The supervised-restart chain, one attempt at a time: the only code that
+/// threads the fault plan through relaunches, carries the deadline budget
+/// across them and walks the backoff ladder. run_supervised loops over it;
+/// svc::Server drives the same chain across asynchronous pool tickets.
+///
+///   SupervisionChain chain(options);
+///   RunResult r = launch(chain.attempt_options());
+///   while (chain.retry(r)) r = launch(chain.attempt_options());
+///   SupervisedResult sup = chain.finish(std::move(r));
+///
+/// The job body is responsible for fast-forwarding from its newest
+/// checkpoint generation (see ckpt::Checkpointer) — the chain only decides
+/// whether to relaunch and disarms fired faults.
+class SupervisionChain {
+ public:
+  /// Starts the chain clock. The plan is options.faults, or
+  /// CASP_VMPI_FAULTS when unset.
+  explicit SupervisionChain(SupervisorOptions options);
+
+  /// Options for the next attempt: the live plan, capture_failure, and what
+  /// is left of the chain's deadline budget — never below 1 ms, so a spent
+  /// budget still gets one fast-failing probe that classifies as
+  /// "deadline_exceeded" instead of hanging.
+  RunOptions attempt_options() const;
+
+  /// Given a finished attempt: when it failed recoverable_failure() and
+  /// restarts are left, disarm the fired fault kind (FaultPlan::disarmed —
+  /// every other configured fault stays live), record the failure, sleep
+  /// the backoff ladder step min(base << k, cap) into both ledgers (plan
+  /// and measured), count the restart and return true: relaunch. Otherwise
+  /// return false and leave `attempt` untouched.
+  bool retry(RunResult& attempt);
+
+  /// Close the chain with its final attempt (successful, unrecoverable or
+  /// over the restart budget — never rethrown). The chain is spent.
+  SupervisedResult finish(RunResult final_attempt);
+
+ private:
+  SupervisorOptions options_;
+  FaultPlan plan_;
+  SupervisedResult sup_;
+  Stopwatch clock_;  ///< whole chain: attempts plus backoff waits
+};
+
+/// Run `body` on `size` fresh ranks under a SupervisionChain: recoverable
+/// failures relaunch with the fired fault disarmed until
+/// options.max_restarts is spent; unrecoverable failures and budget
+/// exhaustion return the failed attempt as-is (RunResult::failure set).
 SupervisedResult run_supervised(int size,
                                 const std::function<void(Comm&)>& body,
                                 const SupervisorOptions& options);

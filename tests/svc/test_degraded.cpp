@@ -444,6 +444,29 @@ TEST(ConcurrentSvc, DoubleDrainByteIdenticalAndMatchesSerial) {
   EXPECT_NE(k2_first.find("\"restarts\":1"), std::string::npos);
 }
 
+// wait(id) is the one driver at width 1 whatever ServerOptions::concurrency
+// says: waiting on each job in turn runs the queue in the same order as a
+// one-at-a-time drain, and returns with nothing left in flight.
+TEST(ConcurrentSvc, WaitOnEachJobMatchesTheSerialDrain) {
+  ServerOptions serial_opts;
+  serial_opts.pool_ranks = 9;
+  Server serial(serial_opts);
+  submit_mixed_fleet(serial);
+  serial.drain();
+
+  ServerOptions k2_opts = serial_opts;
+  k2_opts.concurrency = 2;
+  Server waited(k2_opts);
+  submit_mixed_fleet(waited);
+  for (const std::string& id : waited.job_ids()) {
+    EXPECT_EQ(waited.wait(id).state, JobState::kDone)
+        << id << ": " << waited.find(id)->reason;
+    EXPECT_EQ(waited.pool().idle_ranks().size(), 9u) << id;
+  }
+  EXPECT_EQ(waited.job_reports_json(/*deterministic=*/true).dump(),
+            serial.job_reports_json(/*deterministic=*/true).dump());
+}
+
 // ---------------------------------------------------------------------------
 
 TEST(DeadlineSvc, ExpiredDeadlineFailsJobAndReleasesReservation) {

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
 #include "grid/dist.hpp"
@@ -338,6 +339,38 @@ TEST(FaultSvc, SupervisedCrashRecoversOnTheResidentPool) {
   // The pool is not poisoned: a clean tenant's job runs right after.
   const std::string clean = server.submit(small_spgemm("clean"));
   EXPECT_EQ(server.wait(clean).state, JobState::kDone);
+}
+
+// The server drives its restarts through the same vmpi::SupervisionChain as
+// vmpi::run_supervised: under one FaultPlan and SupervisorOptions both
+// record the same failure kinds and the same backoff ladder.
+TEST(FaultSvc, SupervisedJobRestartsLikeRunSupervised) {
+  JobSpec chaos = small_spgemm("chaos");
+  chaos.fault_spec =
+      "seed=" + std::to_string(fault_seed()) + ";crash_rank=2;crash_op=10";
+  chaos.max_restarts = 3;
+  const vmpi::SupervisedResult direct = vmpi::run_supervised(
+      chaos.ranks,
+      [](vmpi::Comm& comm) {
+        for (int i = 0; i < 32; ++i) comm.barrier();
+      },
+      chaos.supervisor_options());
+  ASSERT_TRUE(direct.recovered());
+
+  Server server(ServerOptions{});
+  const JobRecord& job = server.wait(server.submit(std::move(chaos)));
+  ASSERT_EQ(job.state, JobState::kDone) << job.reason;
+  ASSERT_TRUE(job.report.run.has_value());
+  ASSERT_TRUE(job.report.run->recovery.has_value());
+  const obs::RecoveryReport& rec = *job.report.run->recovery;
+  EXPECT_EQ(rec.restarts, direct.restarts);
+  EXPECT_EQ(rec.max_restarts, direct.max_restarts);
+  EXPECT_EQ(rec.failure_kinds, (std::vector<std::string>{"rank_crash"}));
+  ASSERT_EQ(direct.recovered_failures.size(), 1u);
+  EXPECT_EQ(direct.recovered_failures[0].kind, "rank_crash");
+  EXPECT_EQ(rec.backoff_plan_us, direct.backoff_plan_us);
+  EXPECT_EQ(rec.backoff_plan_us.size(), 1u);
+  EXPECT_EQ(rec.backoff_us.size(), rec.backoff_plan_us.size());
 }
 
 // At l = 4 a crashed attempt resumes from its checkpoints and computes the

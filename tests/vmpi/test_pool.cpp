@@ -3,6 +3,7 @@
 #include <atomic>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "vmpi/pool.hpp"
@@ -121,14 +122,18 @@ TEST(Pool, SupervisedRecoversInjectedCrash) {
   opts.faults = plan;
   opts.max_restarts = 2;
   std::atomic<int> attempts{0};
-  const SupervisedResult sup = pool.run_supervised(
-      [&](Comm& comm) {
-        if (comm.rank() == 0) attempts.fetch_add(1);
-        for (int i = 0; i < 6; ++i) comm.barrier();
-        const int total = comm.allreduce_sum<int>(1);
-        EXPECT_EQ(total, 4);
-      },
-      opts);
+  const auto body = [&](Comm& comm) {
+    if (comm.rank() == 0) attempts.fetch_add(1);
+    for (int i = 0; i < 6; ++i) comm.barrier();
+    const int total = comm.allreduce_sum<int>(1);
+    EXPECT_EQ(total, 4);
+  };
+  // The supervision chain drives the resident gang one attempt at a time.
+  SupervisionChain chain(opts);
+  RunResult attempt = pool.run_job(body, chain.attempt_options());
+  while (chain.retry(attempt))
+    attempt = pool.run_job(body, chain.attempt_options());
+  const SupervisedResult sup = chain.finish(std::move(attempt));
   EXPECT_TRUE(sup.recovered());
   EXPECT_EQ(sup.restarts, 1);
   ASSERT_EQ(sup.recovered_failures.size(), 1u);

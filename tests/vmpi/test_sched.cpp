@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "obs/report.hpp"
+#include "sched_corpus.hpp"
 #include "vmpi/sched.hpp"
-#include "vmpi/sched_corpus.hpp"
 #include "vmpi/sched_explore.hpp"
 
 namespace casp::vmpi {

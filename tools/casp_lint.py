@@ -135,6 +135,9 @@ test (see tests/CMakeLists.txt). Rules:
                   sort_columns() pass is a second, serial sweep over all
                   of local C.
 
+Every rule above scoped to src/ also covers tools/sched_corpus.*, the
+casp-verify SPMD corpus kept out of the library (SRC_RULE_PATHS).
+
 Waivers (use sparingly, justify in a comment on the same line):
   // casp-lint: allow(<rule>)        — waives <rule> on this or next line
   // casp-lint: allow-file(<rule>)   — waives <rule> for the whole file
@@ -187,6 +190,11 @@ STAGE_LOOP_RE = re.compile(
     r"\bSparseAExchange\s*[({]|\bSparseAExchange\s+\w+\s*[({;=]|"
     r"<\s*SparseAExchange\s*>\s*\("
 )
+# Where the src/ rules apply: the library, plus the casp-verify SPMD corpus,
+# which lives beside its only users (tools/casp_verify, tests/vmpi/
+# test_sched) but is vmpi program code all the same.
+SRC_RULE_PATHS = ("src/", "tools/sched_corpus.")
+
 STAGE_LOOP_OWNERS = ("src/summa/stage_engine.", "src/summa/sparse_comm.")
 
 # A separate final sort pass in the SUMMA layer (it belongs to Merge-Fiber's
@@ -385,7 +393,7 @@ class Linter:
                             return True
             return False
 
-        in_src = rel.startswith("src/")
+        in_src = rel.startswith(SRC_RULE_PATHS)
         in_vmpi = rel.startswith("src/vmpi/")
 
         self.check_new_delete(rel, code_lines, waived)

@@ -1,6 +1,6 @@
 // casp_verify: schedule-exploration driver for the vmpi runtime.
 //
-// Sweeps the SPMD corpus (src/vmpi/sched_corpus.*) across deterministic
+// Sweeps the SPMD corpus (tools/sched_corpus.*) across deterministic
 // schedules — seeded-random plus optional CHESS-style bounded-systematic —
 // and, optionally, fault seeds. Known-bug programs must be flagged with
 // their expected diagnosis and every flag carries a schedule string that
@@ -34,7 +34,7 @@ int main() {
 #include <string>
 #include <vector>
 
-#include "vmpi/sched_corpus.hpp"
+#include "sched_corpus.hpp"
 #include "vmpi/sched_explore.hpp"
 
 namespace {

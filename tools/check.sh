@@ -36,10 +36,14 @@
 #                          service benchmark and runs every workload tiny
 #                          on the development and held-out seeds — metric
 #                          names/units and output verification must hold
+#   (l) figure smoke       every paper-figure binary (bench_fig*,
+#                          bench_table*, bench_ablations) runs once and
+#                          must exit 0
 #
 # Usage: tools/check.sh [--skip-tsan] [--skip-asan] [--skip-perf]
 #                       [--skip-faults] [--skip-recovery] [--skip-sched]
 #                       [--skip-serve] [--skip-chaos] [--skip-bench-selftest]
+#                       [--skip-figures]
 # CASP_PERF_THRESHOLD tunes stage (e)'s allowed slowdown (default 0.25).
 set -euo pipefail
 
@@ -54,6 +58,7 @@ SKIP_SCHED=0
 SKIP_SERVE=0
 SKIP_CHAOS=0
 SKIP_BENCH_SELFTEST=0
+SKIP_FIGURES=0
 for arg in "$@"; do
   case "$arg" in
     --skip-tsan) SKIP_TSAN=1 ;;
@@ -65,7 +70,8 @@ for arg in "$@"; do
     --skip-serve) SKIP_SERVE=1 ;;
     --skip-chaos) SKIP_CHAOS=1 ;;
     --skip-bench-selftest) SKIP_BENCH_SELFTEST=1 ;;
-    *) echo "usage: tools/check.sh [--skip-tsan] [--skip-asan] [--skip-perf] [--skip-faults] [--skip-recovery] [--skip-sched] [--skip-serve] [--skip-chaos] [--skip-bench-selftest]" >&2; exit 2 ;;
+    --skip-figures) SKIP_FIGURES=1 ;;
+    *) echo "usage: tools/check.sh [--skip-tsan] [--skip-asan] [--skip-perf] [--skip-faults] [--skip-recovery] [--skip-sched] [--skip-serve] [--skip-chaos] [--skip-bench-selftest] [--skip-figures]" >&2; exit 2 ;;
   esac
 done
 
@@ -77,7 +83,7 @@ python3 tools/casp_lint.py --root .
 if command -v clang-tidy > /dev/null 2>&1; then
   step "(a) lint: clang-tidy (src/, config in .clang-tidy)"
   cmake --preset release -DCMAKE_EXPORT_COMPILE_COMMANDS=ON > /dev/null
-  find src -name '*.cpp' -print0 |
+  { find src -name '*.cpp' -print0; printf '%s\0' tools/sched_corpus.cpp; } |
     xargs -0 clang-tidy -p build/release --quiet
 else
   echo "clang-tidy not installed — skipping (casp_lint covers the repo rules)"
@@ -333,6 +339,28 @@ else
   # $CARGO_TARGET_DIR/bench_e2e or .bench_build/bench_e2e); no other stage
   # compiles it or checks that it still verifies every job's output.
   python3 bench_e2e/selftest.py
+fi
+
+if [ "$SKIP_FIGURES" = 1 ]; then
+  echo "skipping figure smoke stage (--skip-figures)"
+else
+  step "(l) figure smoke: every bench_fig*/bench_table*/bench_ablations runs"
+  # The paper-figure binaries are not perf-gated, so nothing else runs
+  # them; an abort in one (e.g. reading a step a run no longer records)
+  # would otherwise pass every gate. They write files into the cwd, so run
+  # them in a scratch dir.
+  FIG_DIR=$(mktemp -d)
+  trap 'rm -rf "${PERF_DIR:-}" "${SERVE_DIR:-}" "${CHAOS_DIR:-}" "$FIG_DIR"' EXIT
+  for bin in build/release/bench/bench_fig* build/release/bench/bench_table* \
+             build/release/bench/bench_ablations; do
+    name=$(basename "$bin")
+    if ! (cd "$FIG_DIR" && "$OLDPWD/$bin" > "$name.log" 2>&1); then
+      echo "-- $name failed; last lines of its output:" >&2
+      tail -n 20 "$FIG_DIR/$name.log" >&2
+      exit 1
+    fi
+    echo "-- $name ok"
+  done
 fi
 
 step "all gates passed"

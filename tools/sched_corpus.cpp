@@ -1,6 +1,6 @@
 #ifdef CASP_VMPI_SCHED
 
-#include "vmpi/sched_corpus.hpp"
+#include "sched_corpus.hpp"
 
 #include <cstddef>
 #include <memory>
